@@ -1,6 +1,5 @@
-// Input generation and the build phase: graph open, timed builds
-// (graph → cover or tree → .ocac), the traced replays, and the output
-// checks.
+// Input generation and the builds: graph open, build rounds (graph →
+// cover or tree → .ocac), the traced replays, and the output checks.
 
 #include <algorithm>
 #include <cstdio>
@@ -16,8 +15,6 @@
 #include "gen/weight_assign.h"
 #include "graph/subgraph.h"
 #include "metrics/onmi.h"
-#include "oca/oca.h"
-#include "spectral/csr_matvec.h"
 #include "spectral/spectral_engine.h"
 #include "util/random.h"
 
@@ -26,14 +23,12 @@ namespace oca::e2e {
 namespace {
 
 // A tree's build time swings with its shape, so tree workloads build
-// this many independently seeded graphs per timed round, which keeps the
+// this many independently seeded graphs per round, which keeps the
 // seed-to-seed swing out of build_s. One 100k-node LFR graph is input
 // enough.
 constexpr size_t kTreeInputs = 4;
 
-constexpr int kGraphOpens = 5;
-constexpr size_t kMinTimedBuilds = 3;
-constexpr size_t kMaxTimedBuilds = 200;
+constexpr int kGraphOpens = 9;  // traced run: samples of graph.open_s
 constexpr size_t kMaxTracedPairs = 5;
 constexpr size_t kTreeWorkers = 2;
 // Communities at least this large are the ones a recursive build would
@@ -95,8 +90,8 @@ SpectralEngineOptions EngineOptionsFor(const OcaOptions& options) {
   return engine;
 }
 
-size_t NumInputs(const Workload& workload) {
-  return workload.IsTree() ? kTreeInputs : 1;
+size_t NumInputs(const Workload& workload, bool trace) {
+  return workload.IsTree() && !trace ? kTreeInputs : 1;
 }
 
 /// Input 0 comes from the run's seed itself, the others from seeds
@@ -117,18 +112,6 @@ std::string TruthPath(const std::string& dir, size_t input) {
 std::string StorePath(const std::string& dir, size_t input) {
   return InputFile(dir, "communities", input) + ".ocac";
 }
-
-/// One build of the user path: graph → cover or tree → .ocac written.
-/// A flat cover is wrapped as a depth-0 tree, so both shapes share the
-/// writer, the store and the checks.
-struct Built {
-  RecursiveHierarchy tree;
-  uint64_t digest = 0;
-  uint64_t bytes = 0;
-  double build_s = 0.0;  // the cover or tree
-  double write_s = 0.0;  // the .ocac
-  double total_s = 0.0;
-};
 
 Result<Built> BuildOnce(const Workload& workload, const Graph& graph,
                         uint64_t seed, const std::string& store_path,
@@ -375,21 +358,6 @@ double CheckOutputs(const Workload& w, const Graph& graph, const Cover& truth,
   return value;
 }
 
-/// Opens every input graph with full validation, kGraphOpens times: the
-/// set-up every build pays. `times` gets one entry per repetition.
-Result<std::vector<Graph>> OpenGraphs(const std::string& dir, size_t inputs,
-                                      std::vector<double>* times) {
-  std::vector<Graph> graphs(inputs);
-  for (int rep = 0; rep < kGraphOpens; ++rep) {
-    const Clock::time_point t0 = Clock::now();
-    for (size_t i = 0; i < inputs; ++i) {
-      OCA_ASSIGN_OR_RETURN(graphs[i], OpenMmapGraph(GraphPath(dir, i), {}));
-    }
-    times->push_back(SecondsSince(t0));
-  }
-  return graphs;
-}
-
 // --- Traced build phase ----------------------------------------------------
 
 /// Medians of the per-layer self times over the traced replays.
@@ -502,109 +470,11 @@ void ReplaySubgraphs(const Graph& graph, const RecursiveHierarchy& tree,
               trace->SelfSeconds("spectral.cold", root.id()));
 }
 
-bool TracedBuilds(const RunArgs& args, const Graph& graph, double budget_s,
-                  Trace* trace, Report* report, Built* last) {
-  const Workload& w = *args.workload;
-  const std::string store_path = StorePath(args.data_dir, 0);
-  Trace off(false);
-  auto warm = BuildOnce(w, graph, args.seed, store_path, &off);
-  report->Attempt(warm.ok(), "warm-up build");
-  if (!warm.ok()) return false;
-
-  // Alternate untraced builds with traced replays of the same work; the
-  // difference between the two is the tracing overhead.
-  std::vector<double> untraced, traced, build_s, write_s;
-  LayerTimes layers;
-  ReplayCounts counts;
-  const Clock::time_point start = Clock::now();
-  while (untraced.size() < kMaxTracedPairs &&
-         (untraced.empty() ||
-          SecondsSince(start) + untraced.back() + traced.back() <= budget_s)) {
-    auto plain = BuildOnce(w, graph, args.seed, store_path, &off);
-    report->Attempt(plain.ok() && plain->digest == warm->digest,
-                    "untraced build reproduces the warm-up build's digest");
-    if (!plain.ok()) return false;
-    untraced.push_back(plain->total_s);
-    build_s.push_back(plain->build_s);
-    write_s.push_back(plain->write_s);
-
-    const Clock::time_point t0 = Clock::now();
-    const int root = trace->Begin("build");
-    if (w.IsTree()) {
-      // The tree build is one span; its internals come from the
-      // program's own counts and the replays below.
-      auto b = BuildOnce(w, graph, args.seed, store_path, trace);
-      report->Attempt(b.ok() && b->digest == warm->digest,
-                      "traced build reproduces the warm-up build's digest");
-    } else {
-      ReplayCounts c;
-      auto cover = ReplayRunOca(graph, FlatOptions(w, args.seed), trace, &c);
-      report->Attempt(cover.ok() && cover.value() == warm->tree.LeafCover(),
-                      "traced replay reproduces RunOca's cover exactly");
-      if (cover.ok()) {
-        counts = c;
-        ScopedSpan span(trace, "store_io");
-        OcaResult result;
-        result.cover = std::move(cover).value();
-        auto written =
-            WriteCommunityStoreFile(FlatHierarchyFromResult(result),
-                                    graph.num_nodes(), graph.num_edges(),
-                                    args.data_dir + "/replay.ocac");
-        report->Attempt(written.ok(), "replayed cover written");
-      }
-    }
-    trace->End(root);
-    traced.push_back(SecondsSince(t0));
-    if (!w.IsTree()) {
-      layers.Add(*trace, root, {"spectral", "seeding", "climb", "merge"});
-      CheckAttribution(*trace, root, report);
-    }
-    *last = std::move(plain).value();
-  }
-
-  if (w.IsTree()) {
-    // The top-level run of the tree, replayed: its seeding, climb and
-    // merge layers, and a check that it reproduces the tree's roots.
-    const int root = trace->Begin("root_replay");
-    auto cover = ReplayRunOca(graph, TreeOptions(args.seed, graph.num_nodes(), 0).base,
-                              trace, &counts);
-    trace->End(root);
-    Cover roots;
-    for (uint32_t r : last->tree.roots) roots.Add(last->tree.nodes[r].community);
-    report->Attempt(cover.ok() && cover.value() == roots,
-                    "root replay reproduces the tree's top-level cover");
-    layers.Add(*trace, root, {"spectral", "seeding", "climb", "merge"});
-    CheckAttribution(*trace, root, report);
-  }
-  ReportReplayLayers(graph, counts, layers, report);
-  ReplaySubgraphs(graph, last->tree, w.IsTree(), args.seed, trace, report);
-
-  const RecursiveHierarchy& tree = last->tree;
-  double busy = tree.root_stats.seconds_search;
-  for (const RecursiveCommunity& node : tree.nodes) {
-    busy += node.split_stats.seconds_search;
-  }
-  report->Set("climb.tree_busy_s", busy);
-  report->Set("spectral.tree_steps",
-              static_cast<double>(tree.chain.total_iterations));
-  report->Set("spectral.tree_warm_hit_rate", tree.scheduling.warm_start_hit_rate);
-  report->Set("hierarchy.build_s", Median(build_s));
-  report->Set("hierarchy.nodes", static_cast<double>(tree.nodes.size()));
-  report->Set("hierarchy.max_depth", static_cast<double>(tree.max_depth_reached));
-  report->Set("hierarchy.max_concurrent",
-              static_cast<double>(tree.scheduling.max_concurrent));
-  report->Set("store_io.write_s", Median(write_s));
-  report->Set("store_io.bytes", static_cast<double>(last->bytes));
-  const double base = Median(untraced);
-  report->Set("trace.overhead_frac", base > 0 ? Median(traced) / base - 1.0 : 0.0);
-  return true;
-}
-
 }  // namespace
 
 Status GenerateInputs(const Workload& workload, uint64_t seed, bool toy,
                       const std::string& dir) {
-  for (size_t i = 0; i < NumInputs(workload); ++i) {
+  for (size_t i = 0; i < NumInputs(workload, false); ++i) {
     const uint64_t input_seed = InputSeed(seed, i);
     Graph graph;
     Cover truth;
@@ -632,84 +502,172 @@ Status GenerateInputs(const Workload& workload, uint64_t seed, bool toy,
   return Status::OK();
 }
 
-bool RunBuildPhase(const RunArgs& args, double budget_s, Trace* trace,
-                   Report* report, HostContext* host, BuildOutput* out) {
-  const Workload& w = *args.workload;
-  // The traced run replays input 0 only.
-  const size_t inputs = trace->enabled() ? 1 : NumInputs(w);
-  std::vector<double> open_times;
-  auto opened = OpenGraphs(args.data_dir, inputs, &open_times);
-  report->Attempt(opened.ok(), "graphs open with validation");
-  std::vector<Cover> truths;
+Result<Builds> Builds::Open(const RunArgs& args) {
+  Builds builds(args);
+  const size_t inputs = NumInputs(*args.workload, args.trace);
+  builds.graphs_.resize(inputs);
+  OCA_RETURN_IF_ERROR(builds.Reopen().status());
   for (size_t i = 0; i < inputs; ++i) {
-    auto truth = ReadCoverFile(TruthPath(args.data_dir, i));
-    report->Attempt(truth.ok(), "truth cover reads");
-    if (!truth.ok()) return false;
-    truths.push_back(std::move(truth).value());
+    OCA_ASSIGN_OR_RETURN(Cover truth, ReadCoverFile(TruthPath(args.data_dir, i)));
+    builds.truths_.push_back(std::move(truth));
   }
-  if (!opened.ok()) {
-    std::fprintf(stderr, "error: %s\n", opened.status().ToString().c_str());
-    return false;
-  }
-  const std::vector<Graph>& graphs = opened.value();
-  host->csr_kernel = CsrKernelName(CsrKernelFor(graphs[0]));
-  out->graph_setup_s = Median(open_times);
-  out->store_path = StorePath(args.data_dir, 0);
+  builds.last_.resize(inputs);
+  return builds;
+}
 
-  std::vector<Built> last(inputs);
-  if (trace->enabled()) {
-    report->Set("graph.open_s", out->graph_setup_s);
-    std::error_code ec;
-    const auto bytes = std::filesystem::file_size(GraphPath(args.data_dir, 0), ec);
-    report->Set("graph.open_mb_per_s",
-                ec ? 0.0 : static_cast<double>(bytes) * 1e-6 / out->graph_setup_s);
-    if (!TracedBuilds(args, graphs[0], budget_s, trace, report, &last[0])) {
-      return false;
+Result<double> Builds::Reopen() {
+  std::vector<Graph> graphs(graphs_.size());
+  const Clock::time_point t0 = Clock::now();
+  for (size_t i = 0; i < graphs.size(); ++i) {
+    OCA_ASSIGN_OR_RETURN(graphs[i],
+                         OpenMmapGraph(GraphPath(args_->data_dir, i), {}));
+  }
+  const double seconds = SecondsSince(t0);
+  graphs_ = std::move(graphs);  // the old mappings go outside the timing
+  return seconds;
+}
+
+Result<double> Builds::Round(Report* report) {
+  Trace off(false);
+  const bool first = digests_.empty();
+  double seconds = 0.0;
+  for (size_t i = 0; i < graphs_.size(); ++i) {
+    OCA_ASSIGN_OR_RETURN(
+        last_[i], BuildOnce(*args_->workload, graphs_[i], InputSeed(args_->seed, i),
+                            StorePath(args_->data_dir, i), &off));
+    if (first) {
+      digests_.push_back(last_[i].digest);
+    } else {
+      report->Attempt(last_[i].digest == digests_[i],
+                      "build reproduces the first round's digest");
     }
-  } else {
-    // A round builds every input once. The first round is the warm-up;
-    // every timed round must reproduce its digests.
-    std::vector<uint64_t> digests(inputs);
-    auto build_round = [&](bool warm_up) -> Result<double> {
-      double seconds = 0.0;
-      for (size_t i = 0; i < inputs; ++i) {
-        OCA_ASSIGN_OR_RETURN(last[i], BuildOnce(w, graphs[i], InputSeed(args.seed, i),
-                                                StorePath(args.data_dir, i), trace));
-        if (warm_up) digests[i] = last[i].digest;
-        report->Attempt(last[i].digest == digests[i],
-                        "timed build reproduces the warm-up build's digest");
-        seconds += last[i].total_s;
+    seconds += last_[i].total_s;
+  }
+  return seconds / static_cast<double>(graphs_.size());
+}
+
+bool Builds::Traced(double budget_s, Trace* trace, Report* report) {
+  const Workload& w = *args_->workload;
+  const Clock::time_point start = Clock::now();
+  std::vector<double> opens;
+  for (int i = 0; i < kGraphOpens; ++i) {
+    auto open = Reopen();
+    report->Attempt(open.ok(), "graph reopens with validation");
+    if (!open.ok()) return false;
+    opens.push_back(open.value());
+  }
+  const double open_s = Median(opens);
+  std::error_code ec;
+  const auto bytes = std::filesystem::file_size(GraphPath(args_->data_dir, 0), ec);
+  report->Set("graph.open_s", open_s);
+  report->Set("graph.open_mb_per_s",
+              ec ? 0.0 : static_cast<double>(bytes) * 1e-6 / open_s);
+
+  // Untraced builds alternate with traced replays of the same work; the
+  // difference between the two is the tracing overhead. The first
+  // untraced build's digest is the one every later build must reproduce.
+  const Graph& graph = graphs_[0];
+  const std::string store_path = StorePath(args_->data_dir, 0);
+  Trace off(false);
+  std::vector<double> untraced, traced, build_s, write_s;
+  LayerTimes layers;
+  ReplayCounts counts;
+  while (untraced.size() < kMaxTracedPairs &&
+         (untraced.empty() ||
+          SecondsSince(start) + untraced.back() + traced.back() <= budget_s)) {
+    auto plain = BuildOnce(w, graph, args_->seed, store_path, &off);
+    report->Attempt(plain.ok(), "untraced build");
+    if (!plain.ok()) return false;
+    if (digests_.empty()) digests_.push_back(plain->digest);
+    report->Attempt(plain->digest == digests_[0],
+                    "untraced build reproduces the first build's digest");
+    untraced.push_back(plain->total_s);
+    build_s.push_back(plain->build_s);
+    write_s.push_back(plain->write_s);
+
+    const Clock::time_point t0 = Clock::now();
+    const int root = trace->Begin("build");
+    if (w.IsTree()) {
+      // The tree build is one span; its internals come from the
+      // program's own counts and the replays below.
+      auto b = BuildOnce(w, graph, args_->seed, store_path, trace);
+      report->Attempt(b.ok() && b->digest == digests_[0],
+                      "traced build reproduces the first build's digest");
+    } else {
+      ReplayCounts c;
+      auto cover = ReplayRunOca(graph, FlatOptions(w, args_->seed), trace, &c);
+      report->Attempt(cover.ok() && cover.value() == plain->tree.LeafCover(),
+                      "traced replay reproduces RunOca's cover exactly");
+      if (cover.ok()) {
+        counts = c;
+        ScopedSpan span(trace, "store_io");
+        OcaResult result;
+        result.cover = std::move(cover).value();
+        auto written =
+            WriteCommunityStoreFile(FlatHierarchyFromResult(result),
+                                    graph.num_nodes(), graph.num_edges(),
+                                    args_->data_dir + "/replay.ocac");
+        report->Attempt(written.ok(), "replayed cover written");
       }
-      return seconds / static_cast<double>(inputs);
-    };
-    Result<double> built = build_round(true);
-    std::vector<double> rounds;
-    const Clock::time_point start = Clock::now();
-    while (built.ok() &&
-           (rounds.size() < kMinTimedBuilds ||
-            (rounds.size() < kMaxTimedBuilds &&
-             SecondsSince(start) + rounds.back() * inputs <= budget_s))) {
-      built = build_round(false);
-      if (built.ok()) rounds.push_back(built.value());
     }
-    report->Attempt(built.ok(), "every build succeeds");
-    if (!built.ok()) {
-      std::fprintf(stderr, "error: %s\n", built.status().ToString().c_str());
-      return false;
+    trace->End(root);
+    traced.push_back(SecondsSince(t0));
+    if (!w.IsTree()) {
+      layers.Add(*trace, root, {"spectral", "seeding", "climb", "merge"});
+      CheckAttribution(*trace, root, report);
     }
-    report->Set("build_s", Median(rounds));
-    report->Samples("build_s", rounds.size(),
-                    *std::min_element(rounds.begin(), rounds.end()),
-                    *std::max_element(rounds.begin(), rounds.end()));
+    last_[0] = std::move(plain).value();
   }
-  double onmi = 0.0;
-  for (size_t i = 0; i < inputs; ++i) {
-    onmi += CheckOutputs(w, graphs[i], truths[i], last[i],
-                         InputSeed(args.seed, i), StorePath(args.data_dir, i),
-                         report);
+  const Built& last = last_[0];
+
+  if (w.IsTree()) {
+    // The top-level run of the tree, replayed: its seeding, climb and
+    // merge layers, and a check that it reproduces the tree's roots.
+    const int root = trace->Begin("root_replay");
+    auto cover = ReplayRunOca(
+        graph, TreeOptions(args_->seed, graph.num_nodes(), 0).base, trace, &counts);
+    trace->End(root);
+    Cover roots;
+    for (uint32_t r : last.tree.roots) roots.Add(last.tree.nodes[r].community);
+    report->Attempt(cover.ok() && cover.value() == roots,
+                    "root replay reproduces the tree's top-level cover");
+    layers.Add(*trace, root, {"spectral", "seeding", "climb", "merge"});
+    CheckAttribution(*trace, root, report);
   }
-  report->Set("onmi", onmi / static_cast<double>(inputs));
+  ReportReplayLayers(graph, counts, layers, report);
+  ReplaySubgraphs(graph, last.tree, w.IsTree(), args_->seed, trace, report);
+
+  const RecursiveHierarchy& tree = last.tree;
+  double busy = tree.root_stats.seconds_search;
+  for (const RecursiveCommunity& node : tree.nodes) {
+    busy += node.split_stats.seconds_search;
+  }
+  report->Set("climb.tree_busy_s", busy);
+  report->Set("spectral.tree_steps",
+              static_cast<double>(tree.chain.total_iterations));
+  report->Set("spectral.tree_warm_hit_rate", tree.scheduling.warm_start_hit_rate);
+  report->Set("hierarchy.build_s", Median(build_s));
+  report->Set("hierarchy.nodes", static_cast<double>(tree.nodes.size()));
+  report->Set("hierarchy.max_depth", static_cast<double>(tree.max_depth_reached));
+  report->Set("hierarchy.max_concurrent",
+              static_cast<double>(tree.scheduling.max_concurrent));
+  report->Set("store_io.write_s", Median(write_s));
+  report->Set("store_io.bytes", static_cast<double>(last.bytes));
+  const double base = Median(untraced);
+  report->Set("trace.overhead_frac", base > 0 ? Median(traced) / base - 1.0 : 0.0);
   return true;
 }
+
+void Builds::Check(Report* report) const {
+  double onmi = 0.0;
+  for (size_t i = 0; i < graphs_.size(); ++i) {
+    onmi += CheckOutputs(*args_->workload, graphs_[i], truths_[i], last_[i],
+                         InputSeed(args_->seed, i), StorePath(args_->data_dir, i),
+                         report);
+  }
+  report->Set("onmi", onmi / static_cast<double>(graphs_.size()));
+}
+
+std::string Builds::store_path() const { return StorePath(args_->data_dir, 0); }
 
 }  // namespace oca::e2e

@@ -15,11 +15,13 @@
 #include <chrono>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "oca/oca.h"
 #include "util/result.h"
 #include "util/status.h"
 
@@ -51,7 +53,8 @@ enum class WorkloadKind { kLfrFlat, kLfrWeighted, kNestedTree, kServeZipf };
 struct Workload {
   WorkloadKind kind;
   const char* name;
-  /// Share of --seconds spent on timed builds; the rest goes to serving.
+  /// Share of the build and serving time spent on builds; the rest goes
+  /// to serving.
   double build_share;
   /// Lowest acceptable ONMI of the built cover against planted truth.
   double onmi_floor;
@@ -199,13 +202,14 @@ class Report {
 };
 
 // ---------------------------------------------------------------------
-// Phases.
+// Phases: builds (build_phase.cc) and serving (serve_phase.cc). An
+// untraced run interleaves them in rounds (RunWorkload, main.cc).
 // ---------------------------------------------------------------------
 
 struct RunArgs {
   const Workload* workload = nullptr;
   uint64_t seed = 1;
-  double seconds = 15.0;
+  double seconds = 25.0;
   bool trace = false;
   std::string data_dir;       // where `gen` wrote the inputs
   std::string out_dir;        // result and trace files; empty = none
@@ -217,20 +221,97 @@ struct RunArgs {
 Status GenerateInputs(const Workload& workload, uint64_t seed, bool toy,
                       const std::string& dir);
 
-/// What the build phase hands to the serve phase.
-struct BuildOutput {
-  std::string store_path;
-  double graph_setup_s = 0.0;
+/// One build of the user path: graph → cover or tree → .ocac written.
+/// A flat cover is wrapped as a depth-0 tree, so both shapes share the
+/// writer, the store and the checks.
+struct Built {
+  RecursiveHierarchy tree;
+  uint64_t digest = 0;
+  uint64_t bytes = 0;
+  double build_s = 0.0;  // the cover or tree
+  double write_s = 0.0;  // the .ocac
+  double total_s = 0.0;
 };
 
-/// Opens the graph, runs the timed (or traced) builds, writes the .ocac
-/// and checks every output. False when the phase could not continue.
-bool RunBuildPhase(const RunArgs& args, double budget_s, Trace* trace,
-                   Report* report, HostContext* host, BuildOutput* out);
+/// A workload's inputs, opened, and the builds made from them. A traced
+/// run uses input 0 only.
+class Builds {
+ public:
+  /// Opens the inputs `gen` wrote to args.data_dir: every graph, with
+  /// full validation, and its planted truth.
+  static Result<Builds> Open(const RunArgs& args);
 
-/// Serves the snapshot over loopback and measures it.
-bool RunServePhase(const RunArgs& args, const BuildOutput& build,
-                   double budget_s, Trace* trace, Report* report);
+  /// Opens every input graph again with full validation, as a process
+  /// that builds from the files must; returns the seconds it took.
+  Result<double> Reopen();
+
+  /// Builds every input once. Every round must reproduce the first
+  /// round's digests. Returns the mean seconds per input.
+  Result<double> Round(Report* report);
+
+  /// The traced builds: untraced builds alternating with traced replays
+  /// of the same work, within `budget_s`; reports the build layers.
+  bool Traced(double budget_s, Trace* trace, Report* report);
+
+  /// The output checks on the last build of every input; sets onmi.
+  void Check(Report* report) const;
+
+  const Graph& graph(size_t input) const { return graphs_[input]; }
+  /// The snapshot of input 0, the one served.
+  std::string store_path() const;
+
+ private:
+  explicit Builds(const RunArgs& args) : args_(&args) {}
+
+  const RunArgs* args_;
+  std::vector<Graph> graphs_;
+  std::vector<Cover> truths_;
+  std::vector<Built> last_;
+  std::vector<uint64_t> digests_;  // of the first round
+};
+
+/// Serving one snapshot on loopback: a StoreServer with its reader
+/// threads, client connections, and a request stream drawn from the seed.
+class Serving {
+ public:
+  /// A closed-loop and an open-loop measurement on one server.
+  struct Slice {
+    double qps = 0.0;     // closed-loop capacity
+    double p50_us = 0.0;  // open-loop median latency
+  };
+
+  /// Opens the snapshot at `store_path` once to draw the request stream
+  /// and the responses the served ones are checked against. The file may
+  /// be rewritten between slices, but only with the same contents.
+  static Result<Serving> Make(const std::string& store_path, uint64_t seed);
+  Serving(Serving&&) noexcept;
+  Serving& operator=(Serving&&) noexcept;
+  ~Serving();
+
+  /// Serving set-up as a client sees it: snapshot open, server start,
+  /// every connection made and PINGed. Any earlier server is shut down
+  /// first, outside the timing. Returns the seconds it took.
+  Result<double> Setup();
+
+  /// On the server Setup started: a closed loop, then an open loop at
+  /// the fixed rate, each after a warm-up, `seconds` in all; then shuts
+  /// the server down, so that the snapshot file is free to rewrite.
+  Result<Slice> Measure(double seconds, Report* report);
+
+  /// Prints the open-loop p99 over every Measure so far against the
+  /// latency limit.
+  void PrintOpenTail() const;
+
+  /// The traced serving pass within `budget_s`: store and protocol
+  /// replays of the stream, traced loops, the serving layers.
+  bool Traced(double budget_s, double build_share, Trace* trace,
+              Report* report);
+
+ private:
+  struct State;
+  explicit Serving(std::unique_ptr<State> state);
+  std::unique_ptr<State> state_;
+};
 
 /// One whole run; fills `report`. False when it could not finish.
 bool RunWorkload(const RunArgs& args, HostContext* host, Report* report);

@@ -4,23 +4,26 @@
 //   bench_e2e run --workload W --seed N --data D [--seconds S] [--trace 0|1]
 //                 [--out DIR] [--commit C]
 //   bench_e2e compare A_DIR B_DIR
-//   bench_e2e smoke --benchmark-json PATH --dir D
+//   bench_e2e smoke --benchmark-json PATH --metrics-json PATH --dir D
 //
 // `gen` runs in its own process so that input generation stays out of
 // the run's time and memory figures. bench/e2e/run.sh drives all of it.
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <charconv>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <set>
 
 #include "e2e.h"
 #include "json.h"
+#include "spectral/csr_matvec.h"
 
 namespace oca::e2e {
 
@@ -28,11 +31,21 @@ namespace {
 
 // Why each workload exists is recorded in README.md and BENCHMARK.json.
 constexpr Workload kWorkloads[] = {
-    {WorkloadKind::kLfrFlat, "lfr_flat", 0.5, 0.7},
-    {WorkloadKind::kLfrWeighted, "lfr_weighted", 0.5, 0.7},
+    {WorkloadKind::kLfrFlat, "lfr_flat", 0.8, 0.7},
+    {WorkloadKind::kLfrWeighted, "lfr_weighted", 0.8, 0.7},
     {WorkloadKind::kNestedTree, "nested_tree", 0.6, 0.9},
     {WorkloadKind::kServeZipf, "serve_zipf", 0.15, 0.9},
 };
+
+// An untraced run is a sequence of rounds. A round builds every input
+// once, then sets up serving and serves a slice of the load, one or more
+// times. Every end-to-end metric is the median of its samples over the
+// run: the host's speed drifts over tens of seconds, and samples spread
+// over the whole run carry less of that drift than a measurement made in
+// one window of it.
+constexpr size_t kMinRounds = 3;
+constexpr size_t kMaxRounds = 200;
+constexpr double kServeSamples = 15;  // set-ups and slices a run aims at
 
 constexpr char kUsage[] =
     "usage:\n"
@@ -40,7 +53,7 @@ constexpr char kUsage[] =
     "  bench_e2e run --workload W --seed N --data D [--seconds S] "
     "[--trace 0|1] [--out DIR] [--commit C]\n"
     "  bench_e2e compare A_DIR B_DIR\n"
-    "  bench_e2e smoke --benchmark-json PATH --dir D\n"
+    "  bench_e2e smoke --benchmark-json PATH --metrics-json PATH --dir D\n"
     "workloads: lfr_flat lfr_weighted nested_tree serve_zipf\n";
 
 using Flags = std::map<std::string, std::string>;
@@ -109,7 +122,7 @@ Result<RunArgs> ParseRunArgs(const std::vector<std::string>& args) {
   OCA_ASSIGN_OR_RETURN(run.workload, ParseWorkload(flags));
   OCA_ASSIGN_OR_RETURN(run.seed, ParseUint("seed", Get(flags, "seed", "1")));
   OCA_ASSIGN_OR_RETURN(uint64_t seconds,
-                       ParseUint("seconds", Get(flags, "seconds", "15")));
+                       ParseUint("seconds", Get(flags, "seconds", "25")));
   if (seconds < 1 || seconds > 600) {
     return Status::InvalidArgument("--seconds must be in [1, 600]");
   }
@@ -181,12 +194,12 @@ int Run(const std::vector<std::string>& args) {
                  reason.c_str());
     return 3;
   }
-  Report report;
-  const bool finished = RunWorkload(run, &host, &report);
-  const auto defs = DefsFor(run.trace);
   std::printf("workload %s, seed %" PRIu64 ", %s run, %.0f s\n",
               run.workload->name, run.seed, run.trace ? "traced" : "untraced",
               run.seconds);
+  Report report;
+  const bool finished = RunWorkload(run, &host, &report);
+  const auto defs = DefsFor(run.trace);
   std::printf("host: nproc %d, cpu '%s', csr kernel %s (%s), library %s%s%s, "
               "commit %s\n",
               host.nproc, host.cpu_model.c_str(), host.csr_kernel.c_str(),
@@ -245,9 +258,79 @@ void CheckMetricList(const JsonValue* list, std::span<const MetricDef> defs,
   }
 }
 
+bool IsStringList(const JsonValue* v) {
+  if (v == nullptr || v->type != JsonValue::Type::kArray) return false;
+  return std::all_of(v->array.begin(), v->array.end(), [](const JsonValue& e) {
+    return e.type == JsonValue::Type::kString && !e.string.empty();
+  });
+}
+
+/// metrics.json holds what BENCHMARK.json has no keys for: which
+/// end-to-end metric each per-layer metric should move and on which
+/// workloads, and why figures were dropped from or lengthened among the
+/// end-to-end metrics.
+void CheckMetricsNotes(const JsonValue& notes, SmokeChecks* checks) {
+  std::set<std::string> end_to_end;
+  for (const MetricDef& d : EndToEndMetrics()) end_to_end.insert(d.name);
+  std::set<std::string> workloads;
+  for (const Workload& w : AllWorkloads()) workloads.insert(w.name);
+
+  std::set<std::string> dropped;
+  const JsonValue* drops = notes.Find("dropped");
+  checks->Expect(drops && drops->type == JsonValue::Type::kArray,
+                 "metrics.json lists dropped figures");
+  for (size_t i = 0; drops && i < drops->array.size(); ++i) {
+    const JsonValue* name = drops->array[i].Find("name");
+    const JsonValue* reason = drops->array[i].Find("reason");
+    checks->Expect(name && !name->string.empty() &&
+                       end_to_end.count(name->string) == 0 && reason &&
+                       !reason->string.empty(),
+                   "metrics.json dropped entry " + std::to_string(i) +
+                       " names a figure outside end_to_end, with a reason");
+    if (name) dropped.insert(name->string);
+  }
+  const JsonValue* lengthened = notes.Find("lengthened");
+  checks->Expect(lengthened && lengthened->type == JsonValue::Type::kArray,
+                 "metrics.json lists lengthened metrics");
+  for (size_t i = 0; lengthened && i < lengthened->array.size(); ++i) {
+    const JsonValue* name = lengthened->array[i].Find("name");
+    const JsonValue* reason = lengthened->array[i].Find("reason");
+    checks->Expect(name && end_to_end.count(name->string) == 1 && reason &&
+                       !reason->string.empty(),
+                   "metrics.json lengthened entry " + std::to_string(i) +
+                       " names an end-to-end metric, with a reason");
+  }
+
+  const JsonValue* layers = notes.Find("per_layer");
+  const auto defs = PerLayerMetrics();
+  checks->Expect(layers && layers->type == JsonValue::Type::kArray &&
+                     layers->array.size() == defs.size(),
+                 "metrics.json maps every per-layer metric");
+  if (!layers || layers->array.size() != defs.size()) return;
+  for (size_t i = 0; i < defs.size(); ++i) {
+    const JsonValue& m = layers->array[i];
+    const JsonValue* name = m.Find("name");
+    const JsonValue* moves = m.Find("moves");
+    const JsonValue* on = m.Find("on");
+    bool ok = name && name->string == defs[i].name && IsStringList(moves) &&
+              IsStringList(on) && !on->array.empty();
+    for (size_t k = 0; ok && k < moves->array.size(); ++k) {
+      const std::string& target = moves->array[k].string;
+      ok = end_to_end.count(target) == 1 || dropped.count(target) == 1;
+    }
+    for (size_t k = 0; ok && k < on->array.size(); ++k) {
+      ok = workloads.count(on->array[k].string) == 1;
+    }
+    checks->Expect(ok, "metrics.json per_layer entry " + std::to_string(i) +
+                           " maps " + defs[i].name +
+                           " to end-to-end metrics and workloads");
+  }
+}
+
 int Smoke(const std::vector<std::string>& args) {
-  auto flags = ParseFlags(args, {"benchmark-json", "dir"});
+  auto flags = ParseFlags(args, {"benchmark-json", "metrics-json", "dir"});
   if (!flags.ok() || Get(flags.value(), "benchmark-json", "").empty() ||
+      Get(flags.value(), "metrics-json", "").empty() ||
       Get(flags.value(), "dir", "").empty()) {
     std::fprintf(stderr, "%s", kUsage);
     return 2;
@@ -276,6 +359,9 @@ int Smoke(const std::vector<std::string>& args) {
     CheckMetricList(bench->Find("per_layer"), PerLayerMetrics(), false,
                     "per_layer", &checks);
   }
+  auto notes = ReadJsonFile(Get(flags.value(), "metrics-json", ""));
+  checks.Expect(notes.ok(), "metrics.json parses");
+  if (notes.ok()) CheckMetricsNotes(notes.value(), &checks);
 
   // Bad command lines are refused, not mapped to a default.
   const std::vector<std::vector<std::string>> bad = {
@@ -364,6 +450,104 @@ int Smoke(const std::vector<std::string>& args) {
   return checks.failures() == 0 ? 0 : 1;
 }
 
+// --- run ---------------------------------------------------------------------
+
+void SetMedian(const char* name, const std::vector<double>& samples,
+               Report* report) {
+  report->Set(name, Median(samples));
+  report->Samples(name, samples.size(),
+                  *std::min_element(samples.begin(), samples.end()),
+                  *std::max_element(samples.begin(), samples.end()));
+}
+
+bool RunRounds(const RunArgs& args, Builds* builds, Report* report) {
+  const Workload& w = *args.workload;
+  const Clock::time_point start = Clock::now();
+  std::optional<Serving> serving;
+  double slice_s = 0.0;
+  size_t slices_per_round = 1;
+  std::vector<double> build_s, setup_s, qps, p50;
+  for (;;) {
+    const Clock::time_point round_start = Clock::now();
+    auto built = builds->Round(report);
+    report->Attempt(built.ok(), "every input builds");
+    if (!built.ok()) {
+      std::fprintf(stderr, "error: %s\n", built.status().ToString().c_str());
+      return false;
+    }
+    build_s.push_back(built.value());
+    if (!serving) {
+      // The first round plans the rest: serving gets the workload's share
+      // of each round, cut into enough slices for a median.
+      const double round_build_s = SecondsSince(round_start);
+      const double serve_s = round_build_s * (1 - w.build_share) / w.build_share;
+      const double rounds = std::max(static_cast<double>(kMinRounds),
+                                     args.seconds / (round_build_s + serve_s));
+      slices_per_round =
+          static_cast<size_t>(std::ceil(kServeSamples / rounds));
+      slice_s = serve_s / static_cast<double>(slices_per_round);
+      auto made = Serving::Make(builds->store_path(), args.seed);
+      report->Attempt(made.ok(), "request stream drawn from the snapshot");
+      if (!made.ok()) {
+        std::fprintf(stderr, "error: %s\n", made.status().ToString().c_str());
+        return false;
+      }
+      serving.emplace(std::move(made).value());
+    }
+    for (size_t i = 0; i < slices_per_round; ++i) {
+      // Set-up as a user pays it before the first answer: the graphs
+      // opened with validation, then the snapshot opened and served.
+      auto graphs = builds->Reopen();
+      auto server = serving->Setup();
+      report->Attempt(graphs.ok() && server.ok(), "set-up");
+      if (!graphs.ok() || !server.ok()) {
+        std::fprintf(stderr, "error: %s\n",
+                     (graphs.ok() ? server.status() : graphs.status())
+                         .ToString().c_str());
+        return false;
+      }
+      setup_s.push_back(graphs.value() + server.value());
+      auto slice = serving->Measure(slice_s, report);
+      report->Attempt(slice.ok(), "serving slice");
+      if (!slice.ok()) {
+        std::fprintf(stderr, "error: %s\n", slice.status().ToString().c_str());
+        return false;
+      }
+      qps.push_back(slice->qps);
+      p50.push_back(slice->p50_us);
+    }
+    // Stop where the budget ends nearest a round boundary, so that runs
+    // average --seconds whatever the size of their rounds.
+    const double round_s = SecondsSince(round_start);
+    if (build_s.size() >= kMaxRounds ||
+        (build_s.size() >= kMinRounds &&
+         SecondsSince(start) + round_s / 2 > args.seconds)) {
+      break;
+    }
+  }
+  SetMedian("setup_s", setup_s, report);
+  SetMedian("build_s", build_s, report);
+  SetMedian("served_qps", qps, report);
+  SetMedian("open_p50_us", p50, report);
+  serving->PrintOpenTail();
+  return true;
+}
+
+bool RunTraced(const RunArgs& args, Builds* builds, Trace* trace,
+               Report* report) {
+  const Workload& w = *args.workload;
+  const Clock::time_point start = Clock::now();
+  if (!builds->Traced(args.seconds * w.build_share, trace, report)) return false;
+  auto serving = Serving::Make(builds->store_path(), args.seed);
+  report->Attempt(serving.ok(), "request stream drawn from the snapshot");
+  if (!serving.ok()) {
+    std::fprintf(stderr, "error: %s\n", serving.status().ToString().c_str());
+    return false;
+  }
+  return serving->Traced(std::max(0.0, args.seconds - SecondsSince(start)),
+                         w.build_share, trace, report);
+}
+
 }  // namespace
 
 std::span<const Workload> AllWorkloads() { return kWorkloads; }
@@ -376,12 +560,23 @@ const Workload* FindWorkload(std::string_view name) {
 }
 
 bool RunWorkload(const RunArgs& args, HostContext* host, Report* report) {
+  auto builds = Builds::Open(args);
+  report->Attempt(builds.ok(), "inputs open, graphs validated");
+  if (!builds.ok()) {
+    std::fprintf(stderr, "error: %s\n", builds.status().ToString().c_str());
+    return false;
+  }
+  host->csr_kernel = CsrKernelName(CsrKernelFor(builds->graph(0)));
   Trace trace(args.trace);
-  BuildOutput build;
-  const double build_budget = args.seconds * args.workload->build_share;
-  const bool finished =
-      RunBuildPhase(args, build_budget, &trace, report, host, &build) &&
-      RunServePhase(args, build, args.seconds - build_budget, &trace, report);
+  const Clock::time_point start = Clock::now();
+  const bool finished = args.trace
+                            ? RunTraced(args, &builds.value(), &trace, report)
+                            : RunRounds(args, &builds.value(), report);
+  const double measured_s = SecondsSince(start);
+  const Clock::time_point checks = Clock::now();
+  if (finished) builds->Check(report);
+  std::printf("measured for %.1f s, output checks took %.1f s\n", measured_s,
+              SecondsSince(checks));
   if (!args.trace) {
     struct rusage usage;
     if (::getrusage(RUSAGE_SELF, &usage) == 0) {

@@ -28,8 +28,8 @@ constexpr MetricDef kEndToEnd[] = {
     {"open_p50_us", "us", false, 0.25},
 };
 
-// Per-layer metrics from the traced run. README.md names the end-to-end
-// metric and workload each one should move.
+// Per-layer metrics from the traced run. metrics.json names the
+// end-to-end metric and workloads each one should move.
 constexpr MetricDef kPerLayer[] = {
     {"graph.open_s", "s", false, 0},
     {"graph.open_mb_per_s", "MB/s", true, 0},

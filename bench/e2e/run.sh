@@ -21,7 +21,7 @@ usage() {
 
 workload=""
 seed=1
-seconds=15
+seconds=25
 trace=""
 out=""
 while [ $# -gt 0 ]; do

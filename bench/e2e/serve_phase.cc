@@ -1,4 +1,4 @@
-// The serve phase: the built .ocac behind a loopback StoreServer, a
+// Serving: the built .ocac behind a loopback StoreServer, a
 // Zipf-popular request mix from client connections in a closed and an
 // open loop, and (traced) in-process replays of the same stream through
 // the store and protocol layers.
@@ -6,6 +6,7 @@
 #include <sys/prctl.h>
 
 #include <algorithm>
+#include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -14,7 +15,6 @@
 #include <thread>
 
 #include "e2e.h"
-#include "oca/oca.h"
 #include "util/random.h"
 
 namespace oca::e2e {
@@ -23,20 +23,29 @@ namespace {
 
 constexpr size_t kStreamLength = 1 << 16;
 constexpr size_t kCheckEvery = 64;  // served responses compared in-process
+// 2 client connections and 2 server readers: with the builds' 1 or 2
+// threads idle while serving, the load stays within the 4 CPUs of the
+// host the benchmark was sized on.
 constexpr size_t kConnections = 2;
 constexpr size_t kServerReaders = 2;
-constexpr int kServeSetups = 9;
 constexpr int kStoreOpens = 9;
-constexpr double kZipfExponent = 1.1;
+// YCSB's default Zipfian constant (Cooper et al., "Benchmarking Cloud
+// Serving Systems with YCSB", SoCC 2010), the common stand-in for
+// key-value popularity skew; no published trace of community queries
+// exists to take it from.
+constexpr double kZipfExponent = 0.99;
 constexpr double kOpenRate = 20000.0;       // req/s, all connections
-constexpr double kLatencyLimitUs = 500.0;  // on open_p99_us
+constexpr double kLatencyLimitUs = 500.0;  // on the open-loop p99
+constexpr double kMaxWarmSeconds = 0.05;   // per loop, on fresh connections
 constexpr double kReplaySeconds = 0.25;    // per in-process replay
 constexpr double kMaxTracedLoopSeconds = 2.0;
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// The request mix: 60% COMMUNITIES, 30% PATHS, 10% SIBLINGS v k with k
 /// uniform over the snapshot's levels; node popularity is Zipf over a
-/// seeded permutation, so hot nodes are spread over the id space.
+/// seeded permutation, so hot nodes are spread over the id space. The
+/// mix is an assumption: membership lookups most common, whole paths
+/// next, sibling sets (the largest answers) least.
 struct RequestStream {
   std::vector<std::string> lines;
   std::vector<StoreRequest> requests;
@@ -226,6 +235,8 @@ struct LoopResult {
   double qps = 0.0;
 };
 
+/// One loop over every connection. `trace` gets the loop's spans when
+/// spec.spans is set, and may be null when it is not.
 LoopResult RunLoop(std::vector<StoreClient>* clients, const RequestStream& stream,
                    const LoopSpec& spec, const char* name, Trace* trace) {
   std::vector<ConnectionResult> results(clients->size());
@@ -272,24 +283,6 @@ StoreServerOptions ServerOptions() {
   StoreServerOptions options;
   options.num_threads = kServerReaders;
   return options;
-}
-
-/// Serving set-up as a client sees it: snapshot open, server start,
-/// connect and a first PING.
-Result<double> TimeServeSetup(const std::string& path) {
-  const Clock::time_point t0 = Clock::now();
-  OCA_ASSIGN_OR_RETURN(CommunityStore store, CommunityStore::Open(path));
-  OCA_ASSIGN_OR_RETURN(std::unique_ptr<StoreServer> server,
-                       StoreServer::Start(store, ServerOptions()));
-  double seconds = 0.0;
-  {
-    OCA_ASSIGN_OR_RETURN(StoreClient client,
-                         StoreClient::Connect("127.0.0.1", server->port()));
-    OCA_RETURN_IF_ERROR(client.Ping());
-    seconds = SecondsSince(t0);
-  }
-  server->Shutdown();
-  return seconds;
 }
 
 /// Runs `body` over the whole stream until kReplaySeconds have passed;
@@ -364,113 +357,137 @@ void AccountLoop(const LoopResult& loop, const char* what, Report* report) {
 
 }  // namespace
 
-bool RunServePhase(const RunArgs& args, const BuildOutput& build,
-                   double budget_s, Trace* trace, Report* report) {
-  const Workload& w = *args.workload;
-  auto opened = CommunityStore::Open(build.store_path);
-  report->Attempt(opened.ok(), "snapshot opens");
-  if (!opened.ok()) return false;
-  const CommunityStore& store = opened.value();
-  auto stream = MakeStream(store, args.seed);
-  report->Attempt(stream.ok(), "request stream parses");
-  if (!stream.ok()) return false;
+struct Serving::State {
+  std::string store_path;
+  RequestStream stream;
+  std::unique_ptr<StoreServer> server;
+  std::vector<StoreClient> clients;
+  LatencyHistogram open_latency_us;  // every Measure's open loop
 
-  if (trace->enabled()) {
-    std::vector<double> opens;
-    for (int i = 0; i < kStoreOpens; ++i) {
-      const Clock::time_point t0 = Clock::now();
-      auto again = CommunityStore::Open(build.store_path);
-      opens.push_back(SecondsSince(t0));
-      report->Attempt(again.ok(), "snapshot reopens");
-    }
-    report->Set("store.open_s", Median(opens));
-  } else {
-    std::vector<double> setups;
-    for (int i = 0; i < kServeSetups; ++i) {
-      auto setup = TimeServeSetup(build.store_path);
-      report->Attempt(setup.ok(), "serving set-up");
-      if (!setup.ok()) return false;
-      setups.push_back(setup.value());
-    }
-    report->Set("setup_s", build.graph_setup_s + Median(setups));
+  /// Closes the connections and shuts the server down; returns what it
+  /// served.
+  StoreServer::Stats StopServer() {
+    clients.clear();
+    if (!server) return {};
+    const StoreServer::Stats stats = server->stats();
+    server->Shutdown();
+    server.reset();
+    return stats;
   }
+};
 
-  auto server = StoreServer::Start(store, ServerOptions());
-  report->Attempt(server.ok(), "server starts");
-  if (!server.ok()) return false;
-  auto clients = ConnectClients(server.value()->port());
-  report->Attempt(clients.ok(), "clients connect");
-  if (!clients.ok()) return false;
+Serving::Serving(std::unique_ptr<State> state) : state_(std::move(state)) {}
+Serving::Serving(Serving&&) noexcept = default;
+Serving& Serving::operator=(Serving&&) noexcept = default;
+Serving::~Serving() = default;
 
-  const double warm_s = std::min(1.0, 0.1 * budget_s);
-  const double loop_s = std::max(0.0, budget_s - 2 * warm_s) / 2;
-  if (trace->enabled()) {
-    // Budget: in-process replays, then an untraced and a traced closed
-    // loop (their difference is the tracing overhead), then a traced
-    // open loop.
-    TracedReplays(store, stream.value(), trace, report);
-    // Capped: every traced request is a span kept until the run ends.
-    const double third =
-        std::clamp((budget_s - 2 * kReplaySeconds) / 3, 0.05, kMaxTracedLoopSeconds);
-    AccountLoop(RunLoop(&clients.value(), stream.value(),
-                        {false, warm_s, 0, false}, "", trace),
-                "warm-up", report);
-    LoopResult plain = RunLoop(&clients.value(), stream.value(),
-                               {false, third, 0, false}, "", trace);
-    LoopResult traced = RunLoop(&clients.value(), stream.value(),
-                                {false, third, 0, true}, "serve.closed", trace);
-    LoopResult open = RunLoop(&clients.value(), stream.value(),
-                              {true, third, kOpenRate, true}, "serve.open", trace);
-    AccountLoop(plain, "closed loop", report);
-    AccountLoop(traced, "traced closed loop", report);
-    AccountLoop(open, "traced open loop", report);
-    const double rtt_p50 = traced.latency_us.Percentile(50);
-    report->Set("wire.rtt_p50_us", rtt_p50);
-    report->Set("wire.overhead_us",
-                rtt_p50 - report->metrics().at("protocol.ns_per_query") * 1e-3);
-    report->Set("loadgen.lag_p99_us", open.lag_us.Percentile(99));
-    report->Set("loadgen.p999_us", open.latency_us.Percentile(99.9));
-    // One overhead figure per workload: the build and serve overheads
-    // weighted by the workload's own split of its time.
-    const double serve_overhead =
-        traced.qps > 0 ? plain.qps / traced.qps - 1.0 : 0.0;
-    const double build_overhead = report->metrics().at("trace.overhead_frac");
-    report->Set("trace.overhead_frac", w.build_share * build_overhead +
-                                           (1 - w.build_share) * serve_overhead);
-  } else {
-    AccountLoop(RunLoop(&clients.value(), stream.value(),
-                        {false, warm_s, 0, false}, "", trace),
-                "warm-up", report);
-    LoopResult closed = RunLoop(&clients.value(), stream.value(),
-                                {false, loop_s, 0, false}, "", trace);
-    AccountLoop(closed, "closed loop", report);
-    report->Set("served_qps", closed.qps);
-    AccountLoop(RunLoop(&clients.value(), stream.value(),
-                        {true, warm_s, kOpenRate, false}, "", trace),
-                "open warm-up", report);
-    LoopResult open = RunLoop(&clients.value(), stream.value(),
-                              {true, loop_s, kOpenRate, false}, "", trace);
-    AccountLoop(open, "open loop", report);
-    report->Set("open_p50_us", open.latency_us.Percentile(50));
-    report->Samples("open_p50_us", open.latency_us.count(), open.latency_us.min(),
-                    open.latency_us.max());
-    // p99 is printed against its limit but is not a bounded metric: its
-    // run-to-run spread on a shared host is wider than any usable bound.
-    const double p99 = open.latency_us.Percentile(99);
-    std::printf("open loop at %.0f req/s: p99 %.1f us, limit %.0f us %s\n",
-                kOpenRate, p99, kLatencyLimitUs,
-                p99 <= kLatencyLimitUs ? "met" : "MISSED");
+Result<Serving> Serving::Make(const std::string& store_path, uint64_t seed) {
+  OCA_ASSIGN_OR_RETURN(CommunityStore store, CommunityStore::Open(store_path));
+  auto state = std::make_unique<State>();
+  state->store_path = store_path;
+  OCA_ASSIGN_OR_RETURN(state->stream, MakeStream(store, seed));
+  return Serving(std::move(state));
+}
+
+Result<double> Serving::Setup() {
+  State& s = *state_;
+  s.StopServer();
+  const Clock::time_point t0 = Clock::now();
+  OCA_ASSIGN_OR_RETURN(CommunityStore store, CommunityStore::Open(s.store_path));
+  OCA_ASSIGN_OR_RETURN(s.server, StoreServer::Start(std::move(store), ServerOptions()));
+  OCA_ASSIGN_OR_RETURN(s.clients, ConnectClients(s.server->port()));
+  return SecondsSince(t0);
+}
+
+Result<Serving::Slice> Serving::Measure(double seconds, Report* report) {
+  State& s = *state_;
+  if (!s.server) return Status::Internal("Measure needs a server from Setup");
+  // Fresh connections and reader threads start cold, so each loop is
+  // preceded by a short warm-up of its own kind.
+  const double warm_s = std::min(kMaxWarmSeconds, 0.1 * seconds);
+  const double loop_s = std::max(0.0, seconds - 2 * warm_s) / 2;
+  AccountLoop(RunLoop(&s.clients, s.stream, {false, warm_s, 0, false}, "", nullptr),
+              "warm-up", report);
+  const LoopResult closed =
+      RunLoop(&s.clients, s.stream, {false, loop_s, 0, false}, "", nullptr);
+  AccountLoop(closed, "closed loop", report);
+  AccountLoop(RunLoop(&s.clients, s.stream, {true, warm_s, kOpenRate, false}, "",
+                      nullptr),
+              "open warm-up", report);
+  const LoopResult open =
+      RunLoop(&s.clients, s.stream, {true, loop_s, kOpenRate, false}, "", nullptr);
+  AccountLoop(open, "open loop", report);
+  s.open_latency_us.Merge(open.latency_us);
+  const StoreServer::Stats stats = s.StopServer();
+  report->Attempt(stats.errors == 0 && stats.timeouts == 0,
+                  "server answered every request without ERR or timeout");
+  return Slice{closed.qps, open.latency_us.Percentile(50)};
+}
+
+void Serving::PrintOpenTail() const {
+  // The p99 is printed against its limit but is not a bounded metric:
+  // its run-to-run spread on a shared host is wider than any usable
+  // bound (metrics.json).
+  const LatencyHistogram& h = state_->open_latency_us;
+  const double p99 = h.Percentile(99);
+  std::printf("open loop at %.0f req/s: p99 %.1f us over %" PRIu64
+              " requests, limit %.0f us %s\n",
+              kOpenRate, p99, h.count(), kLatencyLimitUs,
+              p99 <= kLatencyLimitUs ? "met" : "MISSED");
+}
+
+bool Serving::Traced(double budget_s, double build_share, Trace* trace,
+                     Report* report) {
+  State& s = *state_;
+  std::vector<double> opens;
+  for (int i = 0; i < kStoreOpens; ++i) {
+    const Clock::time_point t0 = Clock::now();
+    auto again = CommunityStore::Open(s.store_path);
+    opens.push_back(SecondsSince(t0));
+    report->Attempt(again.ok(), "snapshot reopens");
   }
+  report->Set("store.open_s", Median(opens));
+  auto store = CommunityStore::Open(s.store_path);
+  auto setup = Setup();
+  report->Attempt(store.ok() && setup.ok(), "serving set-up");
+  if (!store.ok() || !setup.ok()) return false;
 
-  clients.value().clear();
-  const StoreServer::Stats stats = server.value()->stats();
-  server.value()->Shutdown();
-  if (trace->enabled()) {
-    report->Set("server.requests", static_cast<double>(stats.requests));
-    report->Set("server.errors", static_cast<double>(stats.errors));
-    report->Set("server.timeouts", static_cast<double>(stats.timeouts));
-    report->Set("server.connections", static_cast<double>(stats.connections));
-  }
+  // The in-process replays, then an untraced and a traced closed loop
+  // (their difference is the tracing overhead), then a traced open loop.
+  TracedReplays(store.value(), s.stream, trace, report);
+  const double warm_s = std::min(kMaxWarmSeconds, 0.1 * budget_s);
+  // Capped: every traced request is a span kept until the run ends.
+  const double third = std::clamp((budget_s - 2 * kReplaySeconds - warm_s) / 3,
+                                  0.05, kMaxTracedLoopSeconds);
+  AccountLoop(RunLoop(&s.clients, s.stream, {false, warm_s, 0, false}, "", trace),
+              "warm-up", report);
+  const LoopResult plain =
+      RunLoop(&s.clients, s.stream, {false, third, 0, false}, "", trace);
+  const LoopResult traced =
+      RunLoop(&s.clients, s.stream, {false, third, 0, true}, "serve.closed", trace);
+  const LoopResult open = RunLoop(&s.clients, s.stream,
+                                  {true, third, kOpenRate, true}, "serve.open", trace);
+  AccountLoop(plain, "closed loop", report);
+  AccountLoop(traced, "traced closed loop", report);
+  AccountLoop(open, "traced open loop", report);
+  const double rtt_p50 = traced.latency_us.Percentile(50);
+  report->Set("wire.rtt_p50_us", rtt_p50);
+  report->Set("wire.overhead_us",
+              rtt_p50 - report->metrics().at("protocol.ns_per_query") * 1e-3);
+  report->Set("loadgen.lag_p99_us", open.lag_us.Percentile(99));
+  report->Set("loadgen.p999_us", open.latency_us.Percentile(99.9));
+  // One overhead figure per workload: the build and serve overheads
+  // weighted by the workload's own split of its time.
+  const double serve_overhead = traced.qps > 0 ? plain.qps / traced.qps - 1.0 : 0.0;
+  const double build_overhead = report->metrics().at("trace.overhead_frac");
+  report->Set("trace.overhead_frac",
+              build_share * build_overhead + (1 - build_share) * serve_overhead);
+
+  const StoreServer::Stats stats = s.StopServer();
+  report->Set("server.requests", static_cast<double>(stats.requests));
+  report->Set("server.errors", static_cast<double>(stats.errors));
+  report->Set("server.timeouts", static_cast<double>(stats.timeouts));
+  report->Set("server.connections", static_cast<double>(stats.connections));
   report->Attempt(stats.errors == 0 && stats.timeouts == 0,
                   "server answered every request without ERR or timeout");
   return true;
