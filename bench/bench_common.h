@@ -15,13 +15,19 @@ namespace oca::bench {
 ///   paper   — the paper's exact parameters (minutes)
 enum class Scale { kQuick, kDefault, kPaper };
 
+/// The scale OCA_BENCH_SCALE names; unset means default. Any other value
+/// prints one error line and exits 2.
 inline Scale GetScale() {
   const char* env = std::getenv("OCA_BENCH_SCALE");
   if (env == nullptr) return Scale::kDefault;
   std::string v = env;
   if (v == "quick") return Scale::kQuick;
+  if (v == "default") return Scale::kDefault;
   if (v == "paper") return Scale::kPaper;
-  return Scale::kDefault;
+  std::fprintf(stderr,
+               "error: OCA_BENCH_SCALE=%s is not one of quick|default|paper\n",
+               env);
+  std::exit(2);
 }
 
 inline const char* ScaleName(Scale scale) {

@@ -185,11 +185,9 @@ void BM_MatVecSequential(benchmark::State& state) {
 }
 BENCHMARK(BM_MatVecSequential)->Arg(4)->Arg(8);
 
-// End-to-end recursive hierarchy on the 960-node nested graph. Arg 0 is
-// the Lanczos block width, arg 1 toggles the cross-solve seed batcher —
-// the two faces of the batched-solves work. The digest is invariant in
-// block width (and pinned by tests); these rows record what the fusion
-// buys in wall time. items = total spectral iterations.
+// End-to-end recursive hierarchy on the 960-node nested graph. The arg
+// toggles the cross-solve seed batcher; these rows record what one fused
+// SpMM per split buys in wall time. items = total spectral iterations.
 void BM_HierarchyBatchedSolves(benchmark::State& state) {
   const oca::Graph& g = NestedBenchGraph();
   oca::RecursiveHierarchyOptions opt;
@@ -197,8 +195,7 @@ void BM_HierarchyBatchedSolves(benchmark::State& state) {
   opt.base.halting.max_seeds = g.num_nodes() * 3;
   opt.base.halting.target_coverage = 0.98;
   opt.base.halting.stagnation_window = 150;
-  opt.base.power_method.block_size = static_cast<size_t>(state.range(0));
-  opt.batch_restrictions = state.range(1) != 0;
+  opt.batch_restrictions = state.range(0) != 0;
   int64_t iterations = 0;
   for (auto _ : state) {
     auto tree = oca::BuildRecursiveHierarchy(g, opt).value();
@@ -208,10 +205,8 @@ void BM_HierarchyBatchedSolves(benchmark::State& state) {
   state.SetItemsProcessed(iterations);
 }
 BENCHMARK(BM_HierarchyBatchedSolves)
-    ->Args({1, 0})
-    ->Args({1, 1})
-    ->Args({2, 1})
-    ->Args({4, 1})
+    ->Arg(0)
+    ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
 // Mat-vec over the cache-reordered graph (degree-sort: hubs get the

@@ -16,20 +16,18 @@
 //
 //   $ ./build/examples/hierarchy_explorer [--seed=7] [--supers=4]
 //         [--subs=3] [--sub_size=20] [--cold] [--node=0] [--threads=N]
-//         [--reorder=none|degree|rcm] [--block_size=1] [--no_batch]
+//         [--reorder=none|degree|rcm] [--no_batch]
 //
 // --cold disables the warm-start chain (compare "spectral iters" to see
 // what the chain saves); --node prints that node's membership paths;
 // --threads expands sibling subtrees on N pool workers (0 = the serial
 // reference path); --reorder runs the recursive descent on a
 // cache-reordered copy of the graph (results are mapped back to
-// original ids before printing); --block_size=k runs every Lanczos
-// solve with k-wide block mat-vecs (k-1 probe recurrences fused into
-// each adjacency pass); --no_batch disables the cross-solve seed
-// batcher (per-child restriction instead of one fused SpMM per split).
-// The printed tree digest is identical for every --threads and
-// --block_size value at a fixed --reorder and batching choice — CI's
-// thread matrix pins exactly that.
+// original ids before printing); --no_batch disables the cross-solve
+// seed batcher (per-child restriction instead of one fused SpMM per
+// split). The printed tree digest is identical for every --threads
+// value at a fixed --reorder and batching choice — CI's thread matrix
+// pins exactly that.
 
 #include <cstdio>
 #include <string>
@@ -159,9 +157,6 @@ int main(int argc, char** argv) {
   rec.base = flat.base;
   rec.warm_start = !flags.GetBool("cold", false);
   rec.batch_restrictions = !flags.GetBool("no_batch", false);
-  long block_flag = flags.GetInt("block_size", 1).value_or(1);
-  rec.base.power_method.block_size =
-      block_flag > 0 ? static_cast<size_t>(block_flag) : 1;
   long threads_flag = flags.GetInt("threads", 0).value_or(0);
   rec.num_threads =
       threads_flag > 0 ? static_cast<size_t>(threads_flag) : 0;

@@ -49,13 +49,6 @@ Status ValidateOptions(const OcaOptions& options) {
 
 }  // namespace
 
-Result<OcaResult> RunOca(const Graph& graph, const OcaOptions& options,
-                         SpectralEngine* engine) {
-  OcaOptions patched = options;
-  if (engine != nullptr) patched.engine = engine;
-  return RunOca(graph, patched);
-}
-
 Result<OcaResult> RunOca(const Graph& graph, const OcaOptions& options) {
   SpectralEngine* engine = options.engine;
   if (graph.num_nodes() == 0) {

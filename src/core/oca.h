@@ -24,8 +24,6 @@
 
 namespace oca {
 
-class SpectralEngine;
-
 /// Everything OCA reports back besides the cover itself.
 struct OcaRunStats {
   double coupling_constant = 0.0;   // resolved c (post admissible clamp)
@@ -66,12 +64,6 @@ struct OcaResult {
 /// options. A caller-held spectral engine rides in OcaOptions::engine
 /// (see its docs for the sharing/threading contract).
 Result<OcaResult> RunOca(const Graph& graph, const OcaOptions& options = {});
-
-/// Deprecated shim from before the engine moved into OcaOptions::engine:
-/// a non-null `engine` overrides options.engine. New code sets
-/// options.engine and calls the two-argument overload.
-[[deprecated("set OcaOptions::engine instead")]] Result<OcaResult> RunOca(
-    const Graph& graph, const OcaOptions& options, SpectralEngine* engine);
 
 }  // namespace oca
 

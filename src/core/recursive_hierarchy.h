@@ -91,8 +91,8 @@ struct RecursiveHierarchyOptions {
   /// `warm_start`. NOTE: the polished seed changes each child solve's
   /// start vector, so iteration counts and low-order spectral bits —
   /// and therefore Digest() — are comparable only at a fixed setting of
-  /// this flag (they stay invariant across threads, kernels and
-  /// block_size as always). Off = the per-child WarmStartFromParent
+  /// this flag (they stay invariant across threads and kernels as
+  /// always). Off = the per-child WarmStartFromParent
   /// restriction, exactly the pre-batching behavior.
   bool batch_restrictions = true;
 

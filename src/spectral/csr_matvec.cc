@@ -257,8 +257,7 @@ void AdjacencyMatVecMultiRows(const Graph& graph, size_t begin, size_t end,
       return;
     }
 #endif
-    internal::PortableWeightedMultiRows<false>(offs, nbr, w, begin, end, x, y,
-                                               k, nullptr);
+    internal::PortableWeightedMultiRows(offs, nbr, w, begin, end, x, y, k);
     return;
   }
 #if defined(OCA_HAVE_AVX2)
@@ -267,44 +266,7 @@ void AdjacencyMatVecMultiRows(const Graph& graph, size_t begin, size_t end,
     return;
   }
 #endif
-  internal::PortableMultiRows<false>(offs, nbr, begin, end, x, y, k, nullptr);
-}
-
-void AdjacencyMatVecMultiRowsFused(const Graph& graph, size_t begin,
-                                   size_t end, const double* x, double* y,
-                                   size_t k, double* alpha) {
-  CheckMultiArgs(graph, begin, end, x, y, k);
-  if (alpha == nullptr) {
-    internal::KernelContractViolation(
-        "AdjacencyMatVecMultiRowsFused: null alpha argument");
-  }
-  for (size_t j = 0; j < k; ++j) alpha[j] = 0.0;
-  if (k == 1) {
-    alpha[0] = AdjacencyMatVecRowsFused(graph, begin, end, x, y);
-    return;
-  }
-  const uint64_t* offs = graph.offsets().data();
-  const NodeId* nbr = graph.neighbor_array().data();
-  if (graph.is_weighted()) {
-    const double* w = graph.weight_array().data();
-#if defined(OCA_HAVE_AVX2)
-    if (CsrKernelFor(graph) == CsrKernelKind::kAvx2) {
-      internal::Avx2WeightedMultiRowsFused(offs, nbr, w, begin, end, x, y, k,
-                                           alpha);
-      return;
-    }
-#endif
-    internal::PortableWeightedMultiRows<true>(offs, nbr, w, begin, end, x, y,
-                                              k, alpha);
-    return;
-  }
-#if defined(OCA_HAVE_AVX2)
-  if (CsrKernelFor(graph) == CsrKernelKind::kAvx2) {
-    internal::Avx2MultiRowsFused(offs, nbr, begin, end, x, y, k, alpha);
-    return;
-  }
-#endif
-  internal::PortableMultiRows<true>(offs, nbr, begin, end, x, y, k, alpha);
+  internal::PortableMultiRows(offs, nbr, begin, end, x, y, k);
 }
 
 size_t MatVecBlockRows(size_t n) {

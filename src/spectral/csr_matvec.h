@@ -59,8 +59,7 @@
 namespace oca {
 
 /// Widest batch the multi-vector (SpMM) entry points accept. Callers
-/// with more right-hand sides chunk them kMaxMatVecBatch at a time; the
-/// engine's block-Lanczos width is clamped to this.
+/// with more right-hand sides chunk them kMaxMatVecBatch at a time.
 inline constexpr size_t kMaxMatVecBatch = 8;
 
 /// The available CSR row-kernel implementations. All of them produce
@@ -135,14 +134,6 @@ double AdjacencyMatVecRowsFused(const Graph& graph, size_t begin, size_t end,
 /// single-vector AdjacencyMatVecRows call on that column.
 void AdjacencyMatVecMultiRows(const Graph& graph, size_t begin, size_t end,
                               const double* x, double* y, size_t k);
-
-/// AdjacencyMatVecMultiRows plus the per-column Rayleigh partials:
-/// alpha[j] = sum_{u in [begin, end)} y_j[u] * x_j[u], accumulated in
-/// row order — bitwise the partial AdjacencyMatVecRowsFused returns
-/// for column j. alpha holds k entries and is overwritten.
-void AdjacencyMatVecMultiRowsFused(const Graph& graph, size_t begin,
-                                   size_t end, const double* x, double* y,
-                                   size_t k, double* alpha);
 
 /// Deterministic row-block width for an n-node mat-vec: a pure
 /// function of n alone (never of thread count or kernel), so the block

@@ -238,52 +238,44 @@ struct Avx2WeightedMultiBody8 {
   }
 };
 
-template <bool kFused>
 void Avx2MultiDispatch(const uint64_t* offs, const NodeId* nbr, size_t begin,
-                       size_t end, const double* x, double* y, size_t k,
-                       double* fused_acc) {
+                       size_t end, const double* x, double* y, size_t k) {
   switch (k) {
     case 2:
-      CsrMultiRowLoop<kFused, 2>(offs, nbr, begin, end, x, y, fused_acc,
-                                 Avx2MultiBody2{});
+      CsrMultiRowLoop<2>(offs, nbr, begin, end, x, y, Avx2MultiBody2{});
       return;
     case 4:
-      CsrMultiRowLoop<kFused, 4>(offs, nbr, begin, end, x, y, fused_acc,
-                                 Avx2MultiBody4{});
+      CsrMultiRowLoop<4>(offs, nbr, begin, end, x, y, Avx2MultiBody4{});
       return;
     case 8:
-      CsrMultiRowLoop<kFused, 8>(offs, nbr, begin, end, x, y, fused_acc,
-                                 Avx2MultiBody8{});
+      CsrMultiRowLoop<8>(offs, nbr, begin, end, x, y, Avx2MultiBody8{});
       return;
     default:
       // Odd widths reuse the shared portable body — same bits (the
       // contract), no vector win worth a bespoke shuffle sequence.
-      PortableMultiRows<kFused>(offs, nbr, begin, end, x, y, k, fused_acc);
+      PortableMultiRows(offs, nbr, begin, end, x, y, k);
       return;
   }
 }
 
-template <bool kFused>
 void Avx2WeightedMultiDispatch(const uint64_t* offs, const NodeId* nbr,
                                const double* w, size_t begin, size_t end,
-                               const double* x, double* y, size_t k,
-                               double* fused_acc) {
+                               const double* x, double* y, size_t k) {
   switch (k) {
     case 2:
-      CsrMultiRowLoopW<kFused, 2>(offs, nbr, w, begin, end, x, y, fused_acc,
-                                  Avx2WeightedMultiBody2{});
+      CsrMultiRowLoopW<2>(offs, nbr, w, begin, end, x, y,
+                          Avx2WeightedMultiBody2{});
       return;
     case 4:
-      CsrMultiRowLoopW<kFused, 4>(offs, nbr, w, begin, end, x, y, fused_acc,
-                                  Avx2WeightedMultiBody4{});
+      CsrMultiRowLoopW<4>(offs, nbr, w, begin, end, x, y,
+                          Avx2WeightedMultiBody4{});
       return;
     case 8:
-      CsrMultiRowLoopW<kFused, 8>(offs, nbr, w, begin, end, x, y, fused_acc,
-                                  Avx2WeightedMultiBody8{});
+      CsrMultiRowLoopW<8>(offs, nbr, w, begin, end, x, y,
+                          Avx2WeightedMultiBody8{});
       return;
     default:
-      PortableWeightedMultiRows<kFused>(offs, nbr, w, begin, end, x, y, k,
-                                        fused_acc);
+      PortableWeightedMultiRows(offs, nbr, w, begin, end, x, y, k);
       return;
   }
 }
@@ -302,13 +294,7 @@ double Avx2RowsFused(const uint64_t* offs, const NodeId* nbr, size_t begin,
 
 void Avx2MultiRows(const uint64_t* offs, const NodeId* nbr, size_t begin,
                    size_t end, const double* x, double* y, size_t k) {
-  Avx2MultiDispatch<false>(offs, nbr, begin, end, x, y, k, nullptr);
-}
-
-void Avx2MultiRowsFused(const uint64_t* offs, const NodeId* nbr, size_t begin,
-                        size_t end, const double* x, double* y, size_t k,
-                        double* fused_acc) {
-  Avx2MultiDispatch<true>(offs, nbr, begin, end, x, y, k, fused_acc);
+  Avx2MultiDispatch(offs, nbr, begin, end, x, y, k);
 }
 
 void Avx2WeightedRows(const uint64_t* offs, const NodeId* nbr, const double* w,
@@ -325,15 +311,7 @@ double Avx2WeightedRowsFused(const uint64_t* offs, const NodeId* nbr,
 void Avx2WeightedMultiRows(const uint64_t* offs, const NodeId* nbr,
                            const double* w, size_t begin, size_t end,
                            const double* x, double* y, size_t k) {
-  Avx2WeightedMultiDispatch<false>(offs, nbr, w, begin, end, x, y, k, nullptr);
-}
-
-void Avx2WeightedMultiRowsFused(const uint64_t* offs, const NodeId* nbr,
-                                const double* w, size_t begin, size_t end,
-                                const double* x, double* y, size_t k,
-                                double* fused_acc) {
-  Avx2WeightedMultiDispatch<true>(offs, nbr, w, begin, end, x, y, k,
-                                  fused_acc);
+  Avx2WeightedMultiDispatch(offs, nbr, w, begin, end, x, y, k);
 }
 
 }  // namespace internal

@@ -77,19 +77,14 @@ inline double CsrRowLoopW(const uint64_t* offs, const NodeId* nbr,
 /// Column-wise bit-identity with k single CsrRowLoop passes holds by
 /// the same construction as the scalar kernel: a multi body keeps the
 /// four striped accumulators PER COLUMN, combines each column as
-/// (a0 + a2) + (a1 + a3), and the scalar tail + fused Rayleigh partial
-/// below append to every column in the same order the single-vector
-/// loop would. `MultiBody(nbr, b, body_end, x, sums)` fills sums[0..k)
-/// with the striped body sum of its column.
-///
-/// When kFused, fused_acc[j] accumulates sum_u y_j[u] * x_j[u] over the
-/// row range in row order — the same addition sequence the scalar fused
-/// kernel produces for column j (fused_acc must be zeroed or carry the
-/// caller's running partial).
-template <bool kFused, size_t kWidth, typename MultiBody>
+/// (a0 + a2) + (a1 + a3), and the scalar tail below appends to every
+/// column in the same order the single-vector loop would.
+/// `MultiBody(nbr, b, body_end, x, sums)` fills sums[0..k) with the
+/// striped body sum of its column.
+template <size_t kWidth, typename MultiBody>
 inline void CsrMultiRowLoop(const uint64_t* offs, const NodeId* nbr,
                             size_t begin, size_t end, const double* x,
-                            double* y, double* fused_acc, MultiBody body) {
+                            double* y, MultiBody body) {
   static_assert(kWidth >= 1 && kWidth <= kMaxMatVecBatch);
   double sums[kWidth];
   for (size_t u = begin; u < end; ++u) {
@@ -103,21 +98,16 @@ inline void CsrMultiRowLoop(const uint64_t* offs, const NodeId* nbr,
     }
     double* yu = y + u * kWidth;
     for (size_t j = 0; j < kWidth; ++j) yu[j] = sums[j];
-    if constexpr (kFused) {
-      const double* xu = x + u * kWidth;
-      for (size_t j = 0; j < kWidth; ++j) fused_acc[j] += sums[j] * xu[j];
-    }
   }
 }
 
 /// Weighted multi-vector row loop: the CsrMultiRowLoop skeleton with
 /// each edge scaling its k-wide strip by w[e]. Same per-column
 /// bit-identity construction; `MultiBody(nbr, w, b, body_end, x, sums)`.
-template <bool kFused, size_t kWidth, typename MultiBody>
+template <size_t kWidth, typename MultiBody>
 inline void CsrMultiRowLoopW(const uint64_t* offs, const NodeId* nbr,
                              const double* w, size_t begin, size_t end,
-                             const double* x, double* y, double* fused_acc,
-                             MultiBody body) {
+                             const double* x, double* y, MultiBody body) {
   static_assert(kWidth >= 1 && kWidth <= kMaxMatVecBatch);
   double sums[kWidth];
   for (size_t u = begin; u < end; ++u) {
@@ -132,10 +122,6 @@ inline void CsrMultiRowLoopW(const uint64_t* offs, const NodeId* nbr,
     }
     double* yu = y + u * kWidth;
     for (size_t j = 0; j < kWidth; ++j) yu[j] = sums[j];
-    if constexpr (kFused) {
-      const double* xu = x + u * kWidth;
-      for (size_t j = 0; j < kWidth; ++j) fused_acc[j] += sums[j] * xu[j];
-    }
   }
 }
 
@@ -187,84 +173,74 @@ struct PortableWeightedMultiBody {
 /// Runs the portable multi loop at compile-time width `k`. Shared by
 /// both TUs: the portable dispatcher uses it for every width, the AVX2
 /// one for widths without a gather-free specialization.
-template <bool kFused>
 inline void PortableMultiRows(const uint64_t* offs, const NodeId* nbr,
                               size_t begin, size_t end, const double* x,
-                              double* y, size_t k, double* fused_acc) {
+                              double* y, size_t k) {
   switch (k) {
     case 2:
-      CsrMultiRowLoop<kFused, 2>(offs, nbr, begin, end, x, y, fused_acc,
-                                 PortableMultiBody<2>{});
+      CsrMultiRowLoop<2>(offs, nbr, begin, end, x, y, PortableMultiBody<2>{});
       return;
     case 3:
-      CsrMultiRowLoop<kFused, 3>(offs, nbr, begin, end, x, y, fused_acc,
-                                 PortableMultiBody<3>{});
+      CsrMultiRowLoop<3>(offs, nbr, begin, end, x, y, PortableMultiBody<3>{});
       return;
     case 4:
-      CsrMultiRowLoop<kFused, 4>(offs, nbr, begin, end, x, y, fused_acc,
-                                 PortableMultiBody<4>{});
+      CsrMultiRowLoop<4>(offs, nbr, begin, end, x, y, PortableMultiBody<4>{});
       return;
     case 5:
-      CsrMultiRowLoop<kFused, 5>(offs, nbr, begin, end, x, y, fused_acc,
-                                 PortableMultiBody<5>{});
+      CsrMultiRowLoop<5>(offs, nbr, begin, end, x, y, PortableMultiBody<5>{});
       return;
     case 6:
-      CsrMultiRowLoop<kFused, 6>(offs, nbr, begin, end, x, y, fused_acc,
-                                 PortableMultiBody<6>{});
+      CsrMultiRowLoop<6>(offs, nbr, begin, end, x, y, PortableMultiBody<6>{});
       return;
     case 7:
-      CsrMultiRowLoop<kFused, 7>(offs, nbr, begin, end, x, y, fused_acc,
-                                 PortableMultiBody<7>{});
+      CsrMultiRowLoop<7>(offs, nbr, begin, end, x, y, PortableMultiBody<7>{});
       return;
     case 8:
-      CsrMultiRowLoop<kFused, 8>(offs, nbr, begin, end, x, y, fused_acc,
-                                 PortableMultiBody<8>{});
+      CsrMultiRowLoop<8>(offs, nbr, begin, end, x, y, PortableMultiBody<8>{});
       return;
     default:
-      CsrMultiRowLoop<kFused, 1>(offs, nbr, begin, end, x, y, fused_acc,
-                                 PortableMultiBody<1>{});
+      CsrMultiRowLoop<1>(offs, nbr, begin, end, x, y, PortableMultiBody<1>{});
       return;
   }
 }
 
 /// Weighted analogue of PortableMultiRows.
-template <bool kFused>
 inline void PortableWeightedMultiRows(const uint64_t* offs, const NodeId* nbr,
                                       const double* w, size_t begin,
                                       size_t end, const double* x, double* y,
-                                      size_t k, double* fused_acc) {
+                                      size_t k) {
   switch (k) {
     case 2:
-      CsrMultiRowLoopW<kFused, 2>(offs, nbr, w, begin, end, x, y, fused_acc,
-                                  PortableWeightedMultiBody<2>{});
+      CsrMultiRowLoopW<2>(offs, nbr, w, begin, end, x, y,
+                          PortableWeightedMultiBody<2>{});
       return;
     case 3:
-      CsrMultiRowLoopW<kFused, 3>(offs, nbr, w, begin, end, x, y, fused_acc,
-                                  PortableWeightedMultiBody<3>{});
+      CsrMultiRowLoopW<3>(offs, nbr, w, begin, end, x, y,
+                          PortableWeightedMultiBody<3>{});
       return;
     case 4:
-      CsrMultiRowLoopW<kFused, 4>(offs, nbr, w, begin, end, x, y, fused_acc,
-                                  PortableWeightedMultiBody<4>{});
+      CsrMultiRowLoopW<4>(offs, nbr, w, begin, end, x, y,
+                          PortableWeightedMultiBody<4>{});
       return;
     case 5:
-      CsrMultiRowLoopW<kFused, 5>(offs, nbr, w, begin, end, x, y, fused_acc,
-                                  PortableWeightedMultiBody<5>{});
+      CsrMultiRowLoopW<5>(offs, nbr, w, begin, end, x, y,
+                          PortableWeightedMultiBody<5>{});
       return;
     case 6:
-      CsrMultiRowLoopW<kFused, 6>(offs, nbr, w, begin, end, x, y, fused_acc,
-                                  PortableWeightedMultiBody<6>{});
+      CsrMultiRowLoopW<6>(offs, nbr, w, begin, end, x, y,
+                          PortableWeightedMultiBody<6>{});
       return;
     case 7:
-      CsrMultiRowLoopW<kFused, 7>(offs, nbr, w, begin, end, x, y, fused_acc,
-                                  PortableWeightedMultiBody<7>{});
+      CsrMultiRowLoopW<7>(offs, nbr, w, begin, end, x, y,
+                          PortableWeightedMultiBody<7>{});
       return;
     case 8:
-      CsrMultiRowLoopW<kFused, 8>(offs, nbr, w, begin, end, x, y, fused_acc,
-                                  PortableWeightedMultiBody<8>{});
+      CsrMultiRowLoopW<8>(offs, nbr, w, begin, end, x, y,
+                          PortableWeightedMultiBody<8>{});
       return;
     default:
-      CsrMultiRowLoopW<kFused, 1>(offs, nbr, w, begin, end, x, y, fused_acc,
-                                  PortableWeightedMultiBody<1>{});
+      CsrMultiRowLoopW<1>(offs, nbr, w, begin, end, x, y,
+                          PortableWeightedMultiBody<1>{});
       return;
   }
 }
@@ -278,9 +254,6 @@ double Avx2RowsFused(const uint64_t* offs, const NodeId* nbr, size_t begin,
                      size_t end, const double* x, double* y);
 void Avx2MultiRows(const uint64_t* offs, const NodeId* nbr, size_t begin,
                    size_t end, const double* x, double* y, size_t k);
-void Avx2MultiRowsFused(const uint64_t* offs, const NodeId* nbr, size_t begin,
-                        size_t end, const double* x, double* y, size_t k,
-                        double* fused_acc);
 void Avx2WeightedRows(const uint64_t* offs, const NodeId* nbr, const double* w,
                       size_t begin, size_t end, const double* x, double* y);
 double Avx2WeightedRowsFused(const uint64_t* offs, const NodeId* nbr,
@@ -289,10 +262,6 @@ double Avx2WeightedRowsFused(const uint64_t* offs, const NodeId* nbr,
 void Avx2WeightedMultiRows(const uint64_t* offs, const NodeId* nbr,
                            const double* w, size_t begin, size_t end,
                            const double* x, double* y, size_t k);
-void Avx2WeightedMultiRowsFused(const uint64_t* offs, const NodeId* nbr,
-                                const double* w, size_t begin, size_t end,
-                                const double* x, double* y, size_t k,
-                                double* fused_acc);
 #endif
 
 }  // namespace internal

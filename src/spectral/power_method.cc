@@ -36,16 +36,6 @@ void AdjacencyMatVec(const Graph& graph, const std::vector<double>& x,
   AdjacencyMatVecRows(graph, 0, graph.num_nodes(), x.data(), y->data());
 }
 
-void ShiftedAdjacencyMatVec(const Graph& graph, double shift,
-                            const std::vector<double>& x,
-                            std::vector<double>* y) {
-  AdjacencyMatVec(graph, x, y);
-  const size_t n = graph.num_nodes();
-  for (size_t i = 0; i < n; ++i) {
-    (*y)[i] -= shift * x[i];
-  }
-}
-
 void AdjacencyMatVecMulti(const Graph& graph, const std::vector<double>& x,
                           std::vector<double>* y, size_t k) {
   const size_t n = graph.num_nodes();

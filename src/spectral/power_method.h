@@ -60,17 +60,6 @@ struct PowerMethodOptions {
   /// pipeline's hottest path.
   double coupling_tolerance = 2e-5;
   uint64_t seed = 0x5EED5EEDull;  // random start vector
-  /// Lanczos block width. 1 (default) is the scalar recurrence
-  /// verbatim. Widths 2..kMaxMatVecBatch advance block_size - 1
-  /// auxiliary probe recurrences in LOCKSTEP with the primary one,
-  /// fusing all of them through one multi-vector CSR pass per step —
-  /// the adjacency stream (the whole cost at mmap scale) is read once
-  /// instead of block_size times. The primary recurrence's arithmetic
-  /// is bit-identical at every width (the probes never feed back into
-  /// it), so reported results and tree digests are invariant in
-  /// block_size; the probes buy independent lambda_min confirmations on
-  /// clustered spectra, reported via SpectralEngine::last_block_probes.
-  size_t block_size = 1;
 };
 
 /// Outcome of an eigenpair solve.
@@ -98,11 +87,6 @@ struct EigenEstimate {
 /// y = A x for the graph's adjacency matrix (y is resized to n).
 void AdjacencyMatVec(const Graph& graph, const std::vector<double>& x,
                      std::vector<double>* y);
-
-/// y = (A - shift*I) x. Same contract as AdjacencyMatVec.
-void ShiftedAdjacencyMatVec(const Graph& graph, double shift,
-                            const std::vector<double>& x,
-                            std::vector<double>* y);
 
 /// Y = A X for k interleaved right-hand sides in ONE CSR sweep
 /// (x.size() == n * k, node-major: column j of node v at x[v*k + j]).

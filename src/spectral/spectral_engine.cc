@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "util/random.h"
 #include "util/thread_pool.h"
@@ -27,49 +26,6 @@ double Norm2(const std::vector<double>& x) {
   return std::sqrt(s);
 }
 
-/// Sturm count / bisection over an explicit tridiagonal (k diagonal
-/// entries, k-1 squared off-diagonals). The members below and the
-/// block-probe finalization share these so the probe arithmetic is the
-/// literal same code path as the primary's.
-size_t SturmCountBelowT(const double* alpha, const double* beta_sq, size_t k,
-                        double x) {
-  size_t count = 0;
-  double q = alpha[0] - x;
-  if (q < 0.0) ++count;
-  for (size_t i = 1; i < k; ++i) {
-    double denom = q;
-    if (std::fabs(denom) < 1e-300) denom = denom < 0.0 ? -1e-300 : 1e-300;
-    q = alpha[i] - x - beta_sq[i - 1] / denom;
-    if (q < 0.0) ++count;
-  }
-  return count;
-}
-
-double BisectExtremeT(const double* alpha, const double* beta_sq, size_t k,
-                      bool smallest, double lo, double hi, double abs_tol) {
-  for (int iter = 0; iter < 200 && hi - lo > abs_tol; ++iter) {
-    double mid = 0.5 * (lo + hi);
-    size_t below = SturmCountBelowT(alpha, beta_sq, k, mid);
-    if (smallest ? below >= 1 : below >= k) {
-      hi = mid;
-    } else {
-      lo = mid;
-    }
-  }
-  return 0.5 * (lo + hi);
-}
-
-/// Seed salts for probe lane j's start vector and restart stream:
-/// distinct from each other, from the primary start (options seed) and
-/// from the primary restart stream (seed ^ 0xA17C3B5D).
-uint64_t AuxStartSeed(uint64_t seed, size_t lane) {
-  return seed ^ (0x9E3779B97F4A7C15ull * static_cast<uint64_t>(lane + 1));
-}
-uint64_t AuxRestartSeed(uint64_t seed, size_t lane) {
-  return seed ^ 0xA17C3B5Dull ^
-         (0xC2B2AE3D27D4EB4Full * static_cast<uint64_t>(lane + 1));
-}
-
 }  // namespace
 
 /// Per-end (lambda_min / lambda_max) convergence tracker: the raw Ritz
@@ -92,21 +48,6 @@ struct SpectralEngine::SweepOutcome {
   size_t steps = 0;  // Lanczos steps taken (== size of the tridiagonal)
 };
 
-/// One auxiliary probe recurrence of a block-mode sweep: an
-/// independent Lanczos chain (own start, own restart stream, own
-/// tridiagonal) whose mat-vec rides the primary's multi-vector pass.
-/// Strictly read-only with respect to the primary recurrence.
-struct SpectralEngine::AuxLane {
-  std::vector<double> v;      // current lane vector
-  std::vector<double> vprev;  // previous lane vector
-  std::vector<double> alpha;  // lane T diagonal
-  std::vector<double> beta;   // lane T off-diagonal
-  std::vector<double> beta_sq;
-  double beta_prev = 0.0;
-  Rng rng;           // lane's breakdown-restart stream
-  bool dead = false;  // lane exhausted its Krylov space (column stays 0)
-};
-
 SpectralEngineOptions EngineOptionsFrom(const PowerMethodOptions& pm,
                                         size_t max_steps) {
   SpectralEngineOptions options;
@@ -114,7 +55,6 @@ SpectralEngineOptions EngineOptionsFrom(const PowerMethodOptions& pm,
   options.value_tolerance = pm.tolerance;
   options.coupling_tolerance = pm.coupling_tolerance;
   options.max_steps = max_steps;
-  options.block_size = pm.block_size;
   return options;
 }
 
@@ -242,139 +182,31 @@ double SpectralEngine::MatVecAlphaStep(const Graph& graph) {
   return MatVecFused(graph, v_.data(), w_.data());
 }
 
-size_t SpectralEngine::ResolvedBlockSize() const {
-  return std::clamp<size_t>(options_.block_size, 1, kMaxMatVecBatch);
-}
-
-void SpectralEngine::InitAuxLanes(size_t n) {
-  const size_t lanes = ResolvedBlockSize() - 1;
-  aux_.assign(lanes, AuxLane());
-  for (size_t j = 0; j < lanes; ++j) {
-    AuxLane& lane = aux_[j];
-    lane.v.resize(n);
-    lane.vprev.assign(n, 0.0);
-    lane.rng = Rng(AuxRestartSeed(options_.seed, j));
-    // Probes always start random (never from the warm-start vector):
-    // their value is spanning directions the primary start does NOT
-    // cover, so lambda_min gets confirmed from an independent angle.
-    Rng start(AuxStartSeed(options_.seed, j));
-    for (double& x : lane.v) x = start.NextGaussian();
-    double norm = Norm2(lane.v);
-    if (norm > 0.0 && std::isfinite(norm)) {
-      for (double& x : lane.v) x /= norm;
-    }
-  }
-}
-
-double SpectralEngine::MatVecAlphaStepBlock(const Graph& graph, double gersh) {
-  const size_t n = graph.num_nodes();
-  const size_t width = aux_.size() + 1;
-  block_x_.resize(n * width);
-  block_y_.resize(n * width);
-  // Pack interleaved: column 0 is the primary v_, columns 1.. the live
-  // probe lanes (a dead lane's column stays zero — harmless work).
-  for (size_t i = 0; i < n; ++i) block_x_[i * width] = v_[i];
-  for (size_t j = 0; j < aux_.size(); ++j) {
-    const AuxLane& lane = aux_[j];
-    if (lane.dead) {
-      for (size_t i = 0; i < n; ++i) block_x_[i * width + j + 1] = 0.0;
-    } else {
-      for (size_t i = 0; i < n; ++i) block_x_[i * width + j + 1] = lane.v[i];
-    }
-  }
-  const size_t block = MatVecBlockRows(n);
-  const size_t nblocks = (n + block - 1) / block;
-  block_partial_.assign(nblocks * width, 0.0);
-  // One multi-vector fused pass over the SAME fixed row blocks as
-  // MatVecFused; column 0 of every per-block partial is bitwise the
-  // scalar fused partial, so the primary alpha reduction below is the
-  // identical addition sequence.
-  auto run_block = [&](size_t blk) {
-    size_t begin = blk * block;
-    AdjacencyMatVecMultiRowsFused(graph, begin, std::min(n, begin + block),
-                                  block_x_.data(), block_y_.data(), width,
-                                  block_partial_.data() + blk * width);
-  };
-  if (UseParallel(graph)) {
-    if (!pool_) pool_ = std::make_unique<ThreadPool>(ResolvedThreads());
-    pool_->ParallelFor(nblocks, run_block);
-  } else {
-    for (size_t blk = 0; blk < nblocks; ++blk) run_block(blk);
-  }
-  ++total_matvecs_;  // one adjacency traversal, regardless of width
-  double alpha0 = 0.0;
-  for (size_t blk = 0; blk < nblocks; ++blk) {
-    alpha0 += block_partial_[blk * width];
-  }
-  for (size_t i = 0; i < n; ++i) w_[i] = block_y_[i * width];
-  for (size_t j = 0; j < aux_.size(); ++j) {
-    double aj = 0.0;
-    for (size_t blk = 0; blk < nblocks; ++blk) {
-      aj += block_partial_[blk * width + j + 1];
-    }
-    AdvanceAuxLane(&aux_[j], j + 1, width, n, aj, gersh);
-  }
-  return alpha0;
-}
-
-void SpectralEngine::AdvanceAuxLane(AuxLane* lane, size_t col, size_t width,
-                                    size_t n, double a, double gersh) {
-  if (lane->dead) return;
-  lane->alpha.push_back(a);
-  aux_w_.resize(n);
-  double b2 = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    double w = block_y_[i * width + col] - a * lane->v[i] -
-               lane->beta_prev * lane->vprev[i];
-    aux_w_[i] = w;
-    b2 += w * w;
-  }
-  double b = std::sqrt(b2);
-  if (!(b > 1e-12 * std::max(1.0, gersh))) {
-    // Same breakdown policy as the primary recurrence, on the lane's
-    // own restart stream; a truly exhausted lane goes dormant.
-    for (size_t i = 0; i < n; ++i) aux_w_[i] = lane->rng.NextGaussian();
-    double dv = 0.0, dp = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      dv += aux_w_[i] * lane->v[i];
-      dp += aux_w_[i] * lane->vprev[i];
-    }
-    double nb2 = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      aux_w_[i] -= dv * lane->v[i] + dp * lane->vprev[i];
-      nb2 += aux_w_[i] * aux_w_[i];
-    }
-    if (!(nb2 > 0.0)) {
-      lane->dead = true;
-      return;
-    }
-    double nb = std::sqrt(nb2);
-    lane->beta.push_back(0.0);
-    lane->beta_sq.push_back(0.0);
-    lane->beta_prev = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      lane->vprev[i] = lane->v[i];
-      lane->v[i] = aux_w_[i] / nb;
-    }
-    return;
-  }
-  lane->beta.push_back(b);
-  lane->beta_sq.push_back(b2);
-  lane->beta_prev = b;
-  for (size_t i = 0; i < n; ++i) {
-    lane->vprev[i] = lane->v[i];
-    lane->v[i] = aux_w_[i] / b;
-  }
-}
-
 size_t SpectralEngine::SturmCountBelow(size_t k, double x) const {
-  return SturmCountBelowT(alpha_.data(), beta_sq_.data(), k, x);
+  size_t count = 0;
+  double q = alpha_[0] - x;
+  if (q < 0.0) ++count;
+  for (size_t i = 1; i < k; ++i) {
+    double denom = q;
+    if (std::fabs(denom) < 1e-300) denom = denom < 0.0 ? -1e-300 : 1e-300;
+    q = alpha_[i] - x - beta_sq_[i - 1] / denom;
+    if (q < 0.0) ++count;
+  }
+  return count;
 }
 
 double SpectralEngine::BisectExtreme(size_t k, bool smallest, double lo,
                                      double hi, double abs_tol) const {
-  return BisectExtremeT(alpha_.data(), beta_sq_.data(), k, smallest, lo, hi,
-                        abs_tol);
+  for (int iter = 0; iter < 200 && hi - lo > abs_tol; ++iter) {
+    double mid = 0.5 * (lo + hi);
+    size_t below = SturmCountBelow(k, mid);
+    if (smallest ? below >= 1 : below >= k) {
+      hi = mid;
+    } else {
+      lo = mid;
+    }
+  }
+  return 0.5 * (lo + hi);
 }
 
 double SpectralEngine::TridiagEigenvector(size_t k, double theta,
@@ -435,17 +267,6 @@ SpectralEngine::SweepOutcome SpectralEngine::LanczosSweep(
 
   const bool replay = ritz_weights != nullptr;
   const size_t cap = replay ? replay_steps : std::max<size_t>(step_cap, 1);
-
-  // Block mode applies to pass-1 sweeps only. A replay rebuilds the
-  // primary basis — which is bit-identical at every width — so the
-  // scalar path is the cheapest correct choice there.
-  if (!replay) {
-    block_probes_ = BlockProbeStats{};
-    block_active_ = ResolvedBlockSize() > 1;
-    if (block_active_) InitAuxLanes(n);
-  } else {
-    block_active_ = false;
-  }
 
   std::copy(start_.begin(), start_.end(), v_.begin());
   std::fill(vprev_.begin(), vprev_.begin() + n, 0.0);
@@ -539,8 +360,7 @@ SpectralEngine::SweepOutcome SpectralEngine::LanczosSweep(
       }
     }
 
-    double a = block_active_ ? MatVecAlphaStepBlock(graph, gersh)
-                             : MatVecAlphaStep(graph);
+    double a = MatVecAlphaStep(graph);
     alpha_.push_back(a);
     double b2 = 0.0;
     for (size_t i = 0; i < n; ++i) {
@@ -633,46 +453,6 @@ SpectralEngine::SweepOutcome SpectralEngine::LanczosSweep(
                                         end->hist[end->hist_count - 2]);
       }
     }
-  }
-
-  if (block_active_) {
-    // Extract each probe lane's minimum Ritz value from its own
-    // tridiagonal — the same Sturm bisection the primary runs. A probe
-    // counts as converged when truncating its last kCheckInterval steps
-    // moves its Ritz minimum by less than the sweep tolerance (the raw
-    // stagnation test, evaluated once at the end rather than per
-    // checkpoint — the probes never gate the stop).
-    block_probes_.valid = true;
-    block_probes_.block_size = aux_.size() + 1;
-    block_probes_.steps = out.steps;
-    const double scale_tol =
-        std::max(1e-13, 0.02 * tol_min * std::max(1.0, gersh));
-    bool have_min = out.min_end.wanted;
-    double block_min = have_min ? out.min_end.theta : 0.0;
-    for (const AuxLane& lane : aux_) {
-      const size_t k = lane.alpha.size();
-      if (k == 0) {
-        block_probes_.probe_lambda_min.push_back(0.0);
-        block_probes_.probe_converged.push_back(false);
-        continue;
-      }
-      double theta = BisectExtremeT(lane.alpha.data(), lane.beta_sq.data(), k,
-                                    /*smallest=*/true, glo, ghi, scale_tol);
-      bool conv = false;
-      if (k > kCheckInterval) {
-        double prev = BisectExtremeT(lane.alpha.data(), lane.beta_sq.data(),
-                                     k - kCheckInterval, /*smallest=*/true,
-                                     glo, ghi, scale_tol);
-        conv = std::fabs(theta - prev) <=
-               2.0 * tol_min * std::max(1.0, std::fabs(theta));
-      }
-      block_probes_.probe_lambda_min.push_back(theta);
-      block_probes_.probe_converged.push_back(conv);
-      block_min = have_min ? std::min(block_min, theta) : theta;
-      have_min = true;
-    }
-    block_probes_.block_lambda_min = block_min;
-    block_active_ = false;
   }
 
   return out;

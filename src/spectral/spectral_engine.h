@@ -84,18 +84,6 @@ struct SpectralEngineOptions {
   /// Directed-edge count (2m) below which the mat-vec stays serial even
   /// when num_threads > 1.
   size_t parallel_min_edges = 1u << 16;
-  /// Lanczos block width (clamped to [1, kMaxMatVecBatch]). Width 1 is
-  /// the scalar recurrence verbatim; wider blocks advance
-  /// block_size - 1 auxiliary probe recurrences in lockstep with the
-  /// primary one through ONE multi-vector CSR pass per step, so the
-  /// adjacency stream is read once per step instead of once per
-  /// recurrence. The probes never feed back into the primary
-  /// recurrence: reported values, vectors, iteration counts — and
-  /// therefore every digest — are bit-identical across widths. Probe
-  /// Ritz minima are reported via last_block_probes() as independent
-  /// lambda_min confirmations on clustered spectra. See
-  /// PowerMethodOptions::block_size.
-  size_t block_size = 1;
 };
 
 /// The one mapping from caller-facing PowerMethodOptions to engine
@@ -118,25 +106,6 @@ struct CouplingResult {
   double lambda_min = 0.0;
   size_t iterations = 0;  // Lanczos steps spent (0 on a cache hit)
   bool converged = false;
-};
-
-/// Diagnostics from the auxiliary Ritz block of the engine's last
-/// pass-1 Lanczos sweep (populated only when
-/// SpectralEngineOptions::block_size > 1). Each probe is an
-/// independent Lanczos recurrence — own random start, own restart
-/// stream — advanced in lockstep with the primary one through the
-/// multi-vector kernel, so its minimum Ritz value is an independent
-/// confirmation of lambda_min at near-zero marginal memory traffic.
-/// Probes are diagnostics ONLY: they never alter reported results.
-struct BlockProbeStats {
-  bool valid = false;     // true after a block-mode pass-1 sweep
-  size_t block_size = 1;  // primary + probes
-  size_t steps = 0;       // lockstep steps shared with the primary
-  /// Min over the primary's raw Ritz minimum (when the sweep tracked
-  /// the min end) and every probe's Ritz minimum.
-  double block_lambda_min = 0.0;
-  std::vector<double> probe_lambda_min;  // one entry per probe lane
-  std::vector<bool> probe_converged;     // probe's own stagnation test
 };
 
 class SpectralEngine {
@@ -231,21 +200,15 @@ class SpectralEngine {
   void ClearCache();
 
   /// Total Lanczos mat-vec passes performed (cache hits add nothing).
-  /// A block-mode pass counts once — it IS one adjacency traversal.
   size_t total_matvecs() const { return total_matvecs_; }
   /// Number of calls answered from the per-graph cache.
   size_t cache_hits() const { return cache_hits_; }
-
-  /// Probe diagnostics of the last pass-1 sweep; valid only when it ran
-  /// with block_size > 1 (reset by every new pass-1 sweep).
-  const BlockProbeStats& last_block_probes() const { return block_probes_; }
 
   const SpectralEngineOptions& options() const { return options_; }
 
  private:
   struct EndTracker;
   struct SweepOutcome;
-  struct AuxLane;
 
   struct CacheEntry {
     const Graph* graph = nullptr;
@@ -275,23 +238,6 @@ class SpectralEngine {
   /// One fused CSR pass on the solve workspaces: w_ = A v_, returns
   /// alpha = v_' A v_. Thin wrapper over the public MatVecFused.
   double MatVecAlphaStep(const Graph& graph);
-
-  /// Configured Lanczos block width, clamped to [1, kMaxMatVecBatch].
-  size_t ResolvedBlockSize() const;
-  /// (Re)seeds the block_size - 1 auxiliary probe lanes for a pass-1
-  /// block sweep.
-  void InitAuxLanes(size_t n);
-  /// Block-mode Lanczos step: ONE multi-vector fused pass computes the
-  /// primary product (column 0 — bit-identical to MatVecAlphaStep, the
-  /// per-column alpha partials reduce in the same fixed block order)
-  /// and every live probe lane's product; probe recurrences are then
-  /// advanced in place. Returns the primary alpha.
-  double MatVecAlphaStepBlock(const Graph& graph, double gersh);
-  /// Advances one probe lane given its fused product (column `col` of
-  /// block_y_) and Rayleigh coefficient; mirrors the primary
-  /// recurrence's breakdown/restart policy on the lane's own stream.
-  void AdvanceAuxLane(AuxLane* lane, size_t col, size_t width, size_t n,
-                      double a, double gersh);
 
   /// Runs the Lanczos recurrence until the wanted ends converge (pass 1,
   /// `ritz_weights == nullptr`) or replays exactly `replay_steps` steps
@@ -338,17 +284,6 @@ class SpectralEngine {
   mutable std::vector<double> tri_s_;    // tridiagonal eigenvector scratch
   mutable std::vector<double> tri_d_;    // Thomas-solve scratch
   mutable std::vector<double> tri_rhs_;  // Thomas-solve scratch
-
-  // Block-Lanczos state: interleaved pack/product buffers (n * width),
-  // per-block per-column alpha partials, a shared lane scratch, and the
-  // probe lanes themselves (live only during a block-mode sweep).
-  std::vector<double> block_x_;
-  std::vector<double> block_y_;
-  std::vector<double> block_partial_;
-  std::vector<double> aux_w_;
-  std::vector<AuxLane> aux_;
-  BlockProbeStats block_probes_;
-  bool block_active_ = false;
 
   std::vector<double> warm_;  // pending SetWarmStart vector
   bool warm_pending_ = false;

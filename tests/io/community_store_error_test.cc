@@ -69,7 +69,12 @@ class CommunityStoreErrorTest : public ::testing::Test {
  protected:
   void SetUp() override {
     tree_ = HandcraftedTree();
-    path_ = ::testing::TempDir() + "/oca_store_error_base.ocac";
+    // One base file per test: ctest runs the cases of this fixture as
+    // concurrent processes, and a shared path lets one case read the
+    // file while another rewrites it.
+    path_ = ::testing::TempDir() + "/oca_store_error_base_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".ocac";
     auto written = WriteCommunityStoreFile(tree_, kNodes, kEdges, path_);
     ASSERT_TRUE(written.ok()) << written.status().ToString();
     std::ifstream in(path_, std::ios::binary);

@@ -273,23 +273,18 @@ TEST(CsrKernelTest, TreeDigestInvariantAcrossKernelsAndThreads) {
     for (CsrKernelKind kind : AvailableKernels()) {
       KernelGuard guard(kind);
       for (size_t threads : {size_t{0}, size_t{2}}) {
-        // The full acceptance matrix: block-Lanczos width must be a
-        // pure perf knob — probes never feed back into the recurrence.
-        for (size_t block : {size_t{1}, size_t{2}, size_t{4}}) {
-          RecursiveHierarchyOptions opt = TreeOptions(21, threads);
-          opt.base.power_method.block_size = block;
-          auto tree = BuildRecursiveHierarchy(g, opt).value();
-          tree.MapToOriginalIds(g);
-          if (!have_reference) {
-            reference_digest = tree.Digest();
-            have_reference = true;
-            ASSERT_GT(tree.nodes.size(), tree.roots.size())
-                << "workload must genuinely recurse";
-          } else {
-            EXPECT_EQ(tree.Digest(), reference_digest)
-                << "kernel " << CsrKernelName(kind) << " threads " << threads
-                << " block " << block << " reordered " << reordered;
-          }
+        auto tree =
+            BuildRecursiveHierarchy(g, TreeOptions(21, threads)).value();
+        tree.MapToOriginalIds(g);
+        if (!have_reference) {
+          reference_digest = tree.Digest();
+          have_reference = true;
+          ASSERT_GT(tree.nodes.size(), tree.roots.size())
+              << "workload must genuinely recurse";
+        } else {
+          EXPECT_EQ(tree.Digest(), reference_digest)
+              << "kernel " << CsrKernelName(kind) << " threads " << threads
+              << " reordered " << reordered;
         }
       }
     }

@@ -4,25 +4,20 @@
 // column — across portable/AVX2, owned/mmap backends, ragged degree
 // mixes, and every width 1..kMaxMatVecBatch. Plus the per-graph kernel
 // dispatch heuristic (mean row length vs the AVX2 gather threshold,
-// with forced overrides authoritative) and the block-Lanczos mode built
-// on the fused multi kernel: the primary recurrence's results are
-// bit-invariant in block_size, probes only add diagnostics.
+// with forced overrides authoritative).
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "gen/erdos_renyi.h"
-#include "gen/nested_partition.h"
 #include "graph/graph_builder.h"
 #include "graph/mmap_graph.h"
 #include "io/graph_serialize.h"
 #include "spectral/csr_matvec.h"
 #include "spectral/power_method.h"
-#include "spectral/spectral_engine.h"
 #include "util/random.h"
 
 namespace oca {
@@ -187,44 +182,6 @@ TEST(MatVecMultiTest, MmapBackendMatchesOwnedBitIdentical) {
   }
 }
 
-// The fused multi variant: per-column alphas equal the single fused
-// kernel's alpha on the same row range, bit for bit, and the products
-// agree with the plain multi pass.
-TEST(MatVecMultiTest, FusedAlphasMatchSingleFusedPerColumn) {
-  Rng rng(23);
-  Graph g = ErdosRenyi(500, 0.03, &rng).value();
-  const size_t n = g.num_nodes();
-  for (size_t k : {size_t{2}, size_t{4}, size_t{8}}) {
-    std::vector<std::vector<double>> cols(k);
-    for (size_t j = 0; j < k; ++j) cols[j] = RandomVector(n, 80 + j);
-    const std::vector<double> x = Interleave(cols);
-    for (CsrKernelKind kind : AvailableKernels()) {
-      KernelGuard guard(kind);
-      // Partial range too: the shape the engine's blocked reduction uses.
-      for (auto [begin, end] : {std::pair<size_t, size_t>{0, n},
-                                std::pair<size_t, size_t>{n / 3, n}}) {
-        std::vector<double> y(n * k, 0.0);
-        std::vector<double> alphas(k, -1.0);
-        AdjacencyMatVecMultiRowsFused(g, begin, end, x.data(), y.data(), k,
-                                      alphas.data());
-        for (size_t j = 0; j < k; ++j) {
-          std::vector<double> y_single(n, 0.0);
-          const double alpha_single = AdjacencyMatVecRowsFused(
-              g, begin, end, cols[j].data(), y_single.data());
-          EXPECT_EQ(alphas[j], alpha_single)
-              << "kernel " << CsrKernelName(kind) << " k " << k << " col "
-              << j;
-          for (size_t i = begin; i < end; ++i) {
-            ASSERT_EQ(y[i * k + j], y_single[i])
-                << "kernel " << CsrKernelName(kind) << " k " << k << " col "
-                << j << " row " << i;
-          }
-        }
-      }
-    }
-  }
-}
-
 // --------------------------------------------------------------------
 // Kernel dispatch heuristic: mean row length decides in auto mode;
 // forced choices and OCA_SIMD stay authoritative.
@@ -300,111 +257,6 @@ TEST(KernelDispatchTest, AutoModeProductsMatchForcedPortable) {
   } else {
     SetCsrKernel(prev);
   }
-}
-
-// --------------------------------------------------------------------
-// Block Lanczos: the primary recurrence is bit-invariant in block_size;
-// probes are diagnostics riding the same fused SpMM pass.
-// --------------------------------------------------------------------
-
-TEST(BlockLanczosTest, CouplingResultsBitIdenticalAcrossBlockSizes) {
-  for (uint64_t seed : {3u, 9u}) {
-    Rng rng(seed);
-    Graph g = ErdosRenyi(400, 0.03, &rng).value();
-    for (CsrKernelKind kind : AvailableKernels()) {
-      KernelGuard guard(kind);
-      double c_ref = 0.0, lambda_ref = 0.0;
-      size_t iters_ref = 0;
-      std::vector<double> vec_ref;
-      bool have_ref = false;
-      for (size_t block : {size_t{1}, size_t{2}, size_t{4}}) {
-        SpectralEngineOptions opt;
-        opt.seed = seed;
-        opt.block_size = block;
-        SpectralEngine engine(opt);
-        std::vector<double> vec;
-        CouplingResult r = engine.CouplingConstantWithVector(g, &vec).value();
-        if (!have_ref) {
-          c_ref = r.c;
-          lambda_ref = r.lambda_min;
-          iters_ref = r.iterations;
-          vec_ref = vec;
-          have_ref = true;
-        } else {
-          // Bit-equality, not tolerance: the probes must never feed
-          // back into the primary recurrence.
-          EXPECT_EQ(r.c, c_ref) << "block " << block;
-          EXPECT_EQ(r.lambda_min, lambda_ref) << "block " << block;
-          EXPECT_EQ(r.iterations, iters_ref) << "block " << block;
-          EXPECT_TRUE(BitIdentical(vec, vec_ref)) << "block " << block;
-        }
-      }
-    }
-  }
-}
-
-TEST(BlockLanczosTest, ProbesConfirmLambdaMinFromIndependentStarts) {
-  Rng rng(7);
-  Graph g = ErdosRenyi(500, 0.04, &rng).value();
-  SpectralEngineOptions opt;
-  opt.block_size = 4;
-  SpectralEngine engine(opt);
-  CouplingResult r = engine.CouplingConstant(g).value();
-  ASSERT_TRUE(r.converged);
-
-  const BlockProbeStats& probes = engine.last_block_probes();
-  ASSERT_TRUE(probes.valid);
-  EXPECT_EQ(probes.block_size, 4u);
-  ASSERT_EQ(probes.probe_lambda_min.size(), 3u);
-  EXPECT_GT(probes.steps, 0u);
-  // Probes run the same Lanczos recurrence from independent random
-  // starts; at the primary's stopping point each extreme Ritz value is
-  // a lower-accuracy estimate of the same lambda_min — same sign, same
-  // ballpark, and never meaningfully BELOW the true extreme.
-  for (size_t j = 0; j < probes.probe_lambda_min.size(); ++j) {
-    const double theta = probes.probe_lambda_min[j];
-    EXPECT_LT(theta, 0.0) << "probe " << j;
-    EXPECT_NEAR(theta, r.lambda_min, 0.25 * std::fabs(r.lambda_min))
-        << "probe " << j;
-  }
-  // The block minimum aggregates the primary's RAW pass-1 Ritz value
-  // and every probe; the reported lambda_min is further refined, so the
-  // two agree closely but not bitwise.
-  EXPECT_NEAR(probes.block_lambda_min, r.lambda_min,
-              1e-3 * std::fabs(r.lambda_min));
-
-  // block_size == 1 must not report probes.
-  SpectralEngineOptions scalar_opt;
-  SpectralEngine scalar(scalar_opt);
-  (void)scalar.CouplingConstant(g).value();
-  EXPECT_FALSE(scalar.last_block_probes().valid);
-}
-
-TEST(BlockLanczosTest, DominantEigenpairUnaffectedByBlockSize) {
-  Rng rng(13);
-  Graph g = ErdosRenyi(300, 0.04, &rng).value();
-  PowerMethodOptions pm;
-  pm.seed = 99;
-  EigenEstimate a = DominantEigenpair(g, pm).value();
-  pm.block_size = 4;
-  EigenEstimate b = DominantEigenpair(g, pm).value();
-  EXPECT_EQ(a.eigenvalue, b.eigenvalue);
-  EXPECT_EQ(a.iterations, b.iterations);
-  EXPECT_TRUE(BitIdentical(a.eigenvector, b.eigenvector));
-}
-
-// Out-of-range and degenerate widths clamp instead of misbehaving.
-TEST(BlockLanczosTest, OversizedBlockClampsToMaxBatch) {
-  Rng rng(19);
-  Graph g = ErdosRenyi(200, 0.05, &rng).value();
-  SpectralEngineOptions opt;
-  opt.block_size = 64;  // clamped to kMaxMatVecBatch
-  SpectralEngine engine(opt);
-  CouplingResult r = engine.CouplingConstant(g).value();
-  ASSERT_TRUE(r.converged);
-  const BlockProbeStats& probes = engine.last_block_probes();
-  ASSERT_TRUE(probes.valid);
-  EXPECT_EQ(probes.block_size, kMaxMatVecBatch);
 }
 
 }  // namespace

@@ -24,15 +24,6 @@ TEST(AdjacencyMatVecTest, MatchesManualComputation) {
   EXPECT_EQ(y, (std::vector<double>{2, 4, 6, 8, 4}));
 }
 
-TEST(ShiftedMatVecTest, SubtractsShift) {
-  Graph g = Triangle();
-  std::vector<double> x = {1, 1, 1};
-  std::vector<double> y;
-  ShiftedAdjacencyMatVec(g, 2.0, x, &y);
-  // A*1 = degree = 2 for each; minus 2*1 = 0.
-  EXPECT_EQ(y, (std::vector<double>{0, 0, 0}));
-}
-
 TEST(RayleighQuotientTest, EigenvectorGivesEigenvalue) {
   Graph g = Triangle();
   std::vector<double> ones = {1, 1, 1};  // eigenvector of K3, lambda = 2
