@@ -6,10 +6,16 @@
 //   - CommunityState add/remove churn
 //   - Bron-Kerbosch clique enumeration (why CFinder is slow)
 //   - greedy local search end-to-end
+//   - the .ocac snapshot writer
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
+#include <ostream>
+#include <streambuf>
 #include <string>
+#include <vector>
 
 #include "baselines/bron_kerbosch.h"
 #include "core/community_state.h"
@@ -20,6 +26,7 @@
 #include "gen/nested_partition.h"
 #include "gen/weight_assign.h"
 #include "graph/graph_builder.h"
+#include "io/community_serialize.h"
 #include "spectral/csr_matvec.h"
 #include "spectral/extreme_eigen.h"
 #include "spectral/spectral_engine.h"
@@ -453,5 +460,89 @@ void BM_BronKerbosch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BronKerbosch)->Arg(100)->Arg(200)->Arg(400);
+
+/// Discards what is written to it, so a row times the writer, not a disk.
+class DiscardBuffer : public std::streambuf {
+ protected:
+  int_type overflow(int_type ch) override { return traits_type::not_eof(ch); }
+  std::streamsize xsputn(const char*, std::streamsize n) override { return n; }
+};
+
+struct SnapshotInput {
+  oca::RecursiveHierarchy tree;
+  uint64_t num_nodes;
+  uint64_t num_edges;
+};
+
+/// A flat cover shaped like the e2e lfr_flat workload's: n = 100,000,
+/// 10% of nodes in two roots, root sizes in [20, 100] with density
+/// proportional to 1/s (LFR's size law at exponent 1, mean ~50), so
+/// ~2,200 roots.
+const SnapshotInput& LfrShapedFlatCover() {
+  static const SnapshotInput* input = [] {
+    constexpr oca::NodeId kNodes = 100000;
+    oca::Rng rng(11);
+    std::vector<oca::NodeId> slots;  // one per membership
+    for (oca::NodeId v = 0; v < kNodes; ++v) {
+      slots.push_back(v);
+      if (v % 10 == 0) slots.push_back(v);
+    }
+    rng.Shuffle(&slots);
+    oca::OcaResult result;
+    for (size_t at = 0; at < slots.size();) {
+      const auto drawn = static_cast<size_t>(
+          std::lround(20.0 * std::pow(5.0, rng.NextDouble())));
+      const size_t size = std::min(slots.size() - at, drawn);
+      oca::Community community(slots.begin() + at, slots.begin() + at + size);
+      std::sort(community.begin(), community.end());
+      community.erase(std::unique(community.begin(), community.end()),
+                      community.end());
+      result.cover.Add(std::move(community));
+      at += size;
+    }
+    return new SnapshotInput{oca::FlatHierarchyFromResult(result), kNodes, 0};
+  }();
+  return *input;
+}
+
+/// The tree examples/store_build writes by default (960 nodes).
+const SnapshotInput& StoreBuildTree() {
+  static const SnapshotInput* input = [] {
+    const oca::Graph& g = NestedBenchGraph();
+    oca::RecursiveHierarchyOptions opt;
+    opt.base.seed = 7;
+    opt.base.halting.max_seeds = g.num_nodes() * 3;
+    opt.base.halting.target_coverage = 0.98;
+    opt.base.halting.stagnation_window = 150;
+    return new SnapshotInput{oca::BuildRecursiveHierarchy(g, opt).value(),
+                             g.num_nodes(), g.num_edges()};
+  }();
+  return *input;
+}
+
+// The .ocac writer alone: arg 0 is the lfr_flat-shaped flat cover, arg 1
+// the store_build tree. bytes/sec counts snapshot bytes.
+void BM_WriteCommunityStore(benchmark::State& state) {
+  const SnapshotInput& input =
+      state.range(0) == 0 ? LfrShapedFlatCover() : StoreBuildTree();
+  DiscardBuffer discard;
+  std::ostream out(&discard);
+  uint64_t bytes = 0;
+  for (auto _ : state) {
+    bytes = oca::WriteCommunityStore(input.tree, input.num_nodes,
+                                     input.num_edges, out)
+                .value();
+    benchmark::DoNotOptimize(bytes);
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(bytes));
+  state.SetLabel(std::to_string(input.tree.roots.size()) + " roots, " +
+                 std::to_string(input.tree.nodes.size()) + " communities");
+}
+BENCHMARK(BM_WriteCommunityStore)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -1,9 +1,17 @@
 #include "io/community_serialize.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <numeric>
 #include <ostream>
+#include <utility>
 #include <vector>
 
 #include "io/community_format.h"
@@ -15,6 +23,12 @@ namespace {
 template <typename T>
 void WritePod(std::ostream& out, const T& value) {
   out.write(reinterpret_cast<const char*>(&value), sizeof(T));
+}
+
+template <typename T>
+void WriteArray(std::ostream& out, const std::vector<T>& values) {
+  out.write(reinterpret_cast<const char*>(values.data()),
+            static_cast<std::streamsize>(values.size() * sizeof(T)));
 }
 
 /// Pads `out` with zero bytes from `at` up to the next 8-byte boundary.
@@ -31,6 +45,12 @@ Result<uint32_t> StopReasonCode(const std::string& reason) {
                                  "' has no OCAC on-disk code");
 }
 
+Status ListedTwice(size_t community) {
+  return Status::InvalidArgument(
+      "community " + std::to_string(community) +
+      " is listed twice; a forest lists each community once");
+}
+
 /// Tree-shape validation, strictly before any byte is written: the
 /// store trusts the snapshot's internal links on its zero-copy query
 /// path, so a malformed tree must be an error here, not a bad file.
@@ -43,9 +63,10 @@ Status ValidateTree(const RecursiveHierarchy& tree, uint64_t num_nodes) {
                                      " out of range (" + std::to_string(c) +
                                      " communities)");
     }
+    if (is_root[r]) return ListedTwice(r);
     is_root[r] = 1;
   }
-  size_t child_links = 0;
+  std::vector<char> is_child(c, 0);
   for (size_t i = 0; i < c; ++i) {
     const RecursiveCommunity& node = tree.nodes[i];
     if (node.community.empty()) {
@@ -88,16 +109,109 @@ Status ValidateTree(const RecursiveHierarchy& tree, uint64_t num_nodes) {
         return Status::InvalidArgument("community " + std::to_string(i) +
                                        " child link malformed");
       }
+      if (is_child[ch]) return ListedTwice(ch);
+      is_child[ch] = 1;
     }
-    child_links += node.children.size();
   }
-  if (child_links + tree.roots.size() != c) {
-    return Status::InvalidArgument(
-        "tree is not a forest: " + std::to_string(c) + " communities, " +
-        std::to_string(tree.roots.size()) + " roots, " +
-        std::to_string(child_links) + " child links");
+  // Every community listed exactly once, as a root or in its parent's
+  // children, so a walk from the roots reaches each exactly once.
+  for (size_t i = 0; i < c; ++i) {
+    if (!is_root[i] && !is_child[i]) {
+      return Status::InvalidArgument(
+          "tree is not a forest: community " + std::to_string(i) +
+          " is missing from its parent's children");
+    }
   }
   return Status::OK();
+}
+
+using NodePairs = std::vector<std::pair<NodeId, uint32_t>>;
+
+/// Groups (node, value) pairs by node into the file's CSR layout: n + 1
+/// offsets, then the values, in input order within each node.
+void GroupByNode(const NodePairs& pairs, uint64_t num_nodes,
+                 std::vector<uint64_t>* offsets,
+                 std::vector<uint32_t>* values) {
+  offsets->assign(num_nodes + 1, 0);
+  for (const auto& [v, value] : pairs) ++(*offsets)[v + 1];
+  std::partial_sum(offsets->begin(), offsets->end(), offsets->begin());
+  std::vector<uint64_t> next(offsets->begin(), offsets->end() - 1);
+  values->resize(pairs.size());
+  for (const auto& [v, value] : pairs) (*values)[next[v]++] = value;
+}
+
+/// (node, end community) of every membership path, each node's paths in
+/// the order MembershipPaths gives them. One preorder walk of the forest
+/// (roots, then children, in list order) hands every child the members
+/// it shares with its parent and all further ancestors; a member no
+/// child takes ends a path at that community. Each community's shared
+/// list is marked once and each child's member list scanned once, so
+/// the walk is O(n + M) for M member entries.
+NodePairs MembershipPathEnds(const RecursiveHierarchy& tree,
+                             uint64_t num_nodes) {
+  // marked[v] == c: v is in c's shared list; taken[v] == c: some child
+  // of c holds v. A validated forest visits each community once, so
+  // these stamps never need clearing.
+  std::vector<uint32_t> marked(num_nodes, RecursiveHierarchy::kNoParent);
+  std::vector<uint32_t> taken(num_nodes, RecursiveHierarchy::kNoParent);
+  // Pending communities with their shared lists, stacked in `shared` so
+  // a frame's list ends where the lists of frames pushed after it begin.
+  struct Frame {
+    uint32_t community;
+    size_t begin, end;
+  };
+  std::vector<Frame> stack;
+  std::vector<NodeId> shared;
+  NodePairs ends;
+  for (uint32_t root : tree.roots) {
+    shared = tree.nodes[root].community;
+    stack.push_back({root, 0, shared.size()});
+    while (!stack.empty()) {
+      const Frame f = stack.back();
+      stack.pop_back();
+      shared.resize(f.end);  // drop the lists of finished subtrees
+      for (size_t i = f.begin; i < f.end; ++i) marked[shared[i]] = f.community;
+      const std::vector<uint32_t>& children = tree.nodes[f.community].children;
+      // Last child first, so the first child's frame is on top.
+      for (auto ch = children.rbegin(); ch != children.rend(); ++ch) {
+        const size_t begin = shared.size();
+        for (NodeId v : tree.nodes[*ch].community) {
+          if (marked[v] != f.community) continue;
+          shared.push_back(v);
+          taken[v] = f.community;
+        }
+        if (shared.size() > begin) stack.push_back({*ch, begin, shared.size()});
+      }
+      for (size_t i = f.begin; i < f.end; ++i) {
+        if (taken[shared[i]] != f.community) {
+          ends.emplace_back(shared[i], f.community);
+        }
+      }
+    }
+  }
+  return ends;
+}
+
+/// Creates an empty file beside `path` (so renaming it over `path` never
+/// crosses a filesystem) with the mode a plain create gets, 0666 minus
+/// the umask, and returns its name.
+Result<std::string> CreateSiblingTemp(const std::string& path) {
+  static std::atomic<uint64_t> counter{0};
+  for (int attempt = 0; attempt < 100; ++attempt) {
+    const std::string tmp = path + ".tmp." + std::to_string(::getpid()) +
+                            "." + std::to_string(counter++);
+    const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC,
+                          0666);
+    if (fd >= 0) {
+      ::close(fd);
+      return tmp;
+    }
+    if (errno != EEXIST) {
+      return Status::IOError("cannot create '" + tmp +
+                             "': " + std::strerror(errno));
+    }
+  }
+  return Status::IOError("no free temporary name beside '" + path + "'");
 }
 
 }  // namespace
@@ -116,44 +230,64 @@ Result<uint64_t> WriteCommunityStore(const RecursiveHierarchy& tree,
   }
   OCA_RETURN_IF_ERROR(ValidateTree(tree, num_nodes));
 
-  // Resolve every stop reason before the first byte goes out, so an
-  // unknown reason is a clean error, not a truncated file.
-  std::vector<uint32_t> reason_codes;
-  reason_codes.reserve(tree.nodes.size());
-  for (const RecursiveCommunity& node : tree.nodes) {
-    OCA_ASSIGN_OR_RETURN(uint32_t code, StopReasonCode(node.stop_reason));
-    reason_codes.push_back(code);
-  }
-
   CommunityFileCounts counts;
   counts.num_nodes = num_nodes;
   counts.num_edges = num_edges;
   counts.communities = tree.nodes.size();
   counts.roots = tree.roots.size();
-  for (const RecursiveCommunity& node : tree.nodes) {
+
+  // Records. Every stop reason is resolved before the first byte goes
+  // out, so an unknown reason is a clean error, not a truncated file.
+  std::vector<CommunityRecord> records(tree.nodes.size());
+  for (size_t i = 0; i < tree.nodes.size(); ++i) {
+    const RecursiveCommunity& node = tree.nodes[i];
+    CommunityRecord& rec = records[i];
+    OCA_ASSIGN_OR_RETURN(rec.stop_reason, StopReasonCode(node.stop_reason));
+    rec.members_begin = counts.member_entries;
+    rec.children_begin = counts.child_entries;
+    rec.member_count = static_cast<uint32_t>(node.community.size());
+    rec.child_count = static_cast<uint32_t>(node.children.size());
+    rec.parent = node.parent;
+    rec.depth = node.depth;
+    rec.subgraph_c = node.subgraph_c;
+    rec.subgraph_lambda_min = node.subgraph_lambda_min;
     counts.levels = std::max<uint64_t>(counts.levels, node.depth + 1);
     counts.member_entries += node.community.size();
     counts.child_entries += node.children.size();
   }
 
   // Node -> root-community postings, ascending per node because roots
-  // are scanned in ascending arena order.
-  std::vector<uint32_t> sorted_roots(tree.roots.begin(), tree.roots.end());
-  std::sort(sorted_roots.begin(), sorted_roots.end());
-  std::vector<std::vector<uint32_t>> postings(num_nodes);
-  for (uint32_t r : sorted_roots) {
-    for (NodeId v : tree.nodes[r].community) postings[v].push_back(r);
-    counts.posting_entries += tree.nodes[r].community.size();
+  // are visited in ascending arena order.
+  NodePairs root_members;
+  for (uint32_t c = 0; c < tree.nodes.size(); ++c) {
+    if (tree.nodes[c].parent != RecursiveHierarchy::kNoParent) continue;
+    for (NodeId v : tree.nodes[c].community) root_members.emplace_back(v, c);
   }
+  std::vector<uint64_t> posting_offsets;
+  std::vector<uint32_t> postings;
+  GroupByNode(root_members, num_nodes, &posting_offsets, &postings);
+  counts.posting_entries = postings.size();
 
-  // Membership paths straight from the tree's own query, so the stored
-  // section is definitionally what MembershipPaths answers in memory.
-  std::vector<std::vector<std::vector<uint32_t>>> paths(num_nodes);
-  for (uint64_t v = 0; v < num_nodes; ++v) {
-    paths[v] = tree.MembershipPaths(static_cast<NodeId>(v));
-    counts.paths += paths[v].size();
-    for (const auto& path : paths[v]) counts.path_entries += path.size();
+  // Membership paths, node by node. A path runs from its root down to
+  // its end community, so its entries are the end's parent chain.
+  std::vector<uint64_t> path_node_offsets;
+  std::vector<uint32_t> path_ends;
+  GroupByNode(MembershipPathEnds(tree, num_nodes), num_nodes,
+              &path_node_offsets, &path_ends);
+  std::vector<uint64_t> path_offsets(path_ends.size() + 1, 0);
+  for (size_t p = 0; p < path_ends.size(); ++p) {
+    path_offsets[p + 1] = path_offsets[p] + tree.nodes[path_ends[p]].depth + 1;
   }
+  std::vector<uint32_t> path_entries(path_offsets.back());
+  for (size_t p = 0; p < path_ends.size(); ++p) {
+    uint32_t c = path_ends[p];
+    for (uint64_t e = path_offsets[p + 1]; e > path_offsets[p];
+         c = tree.nodes[c].parent) {
+      path_entries[--e] = c;
+    }
+  }
+  counts.paths = path_ends.size();
+  counts.path_entries = path_entries.size();
 
   const std::vector<RecursiveLevelSummary> levels = tree.LevelSummaries();
   if (levels.size() != counts.levels) {
@@ -180,86 +314,33 @@ Result<uint64_t> WriteCommunityStore(const RecursiveHierarchy& tree,
   WritePod(out, tree.root_stats.lambda_min);
   WritePod(out, tree.Digest());
 
-  // Records.
-  uint64_t members_begin = 0, children_begin = 0;
-  for (size_t i = 0; i < tree.nodes.size(); ++i) {
-    const RecursiveCommunity& node = tree.nodes[i];
-    const uint32_t reason = reason_codes[i];
-    CommunityRecord rec;
-    rec.members_begin = members_begin;
-    rec.children_begin = children_begin;
-    rec.member_count = static_cast<uint32_t>(node.community.size());
-    rec.child_count = static_cast<uint32_t>(node.children.size());
-    rec.parent = node.parent;
-    rec.depth = node.depth;
-    rec.stop_reason = reason;
-    rec.reserved = 0;
-    rec.subgraph_c = node.subgraph_c;
-    rec.subgraph_lambda_min = node.subgraph_lambda_min;
-    WritePod(out, rec);
-    members_begin += rec.member_count;
-    children_begin += rec.child_count;
-  }
+  WriteArray(out, records);
 
   // Roots (arena order, the canonical top-level cover order).
-  for (uint32_t r : tree.roots) WritePod(out, r);
+  WriteArray(out, tree.roots);
   PadTo8(out, CommunityFileRootsStart(counts) +
                   counts.roots * sizeof(uint32_t));
 
-  // Members.
   for (const RecursiveCommunity& node : tree.nodes) {
-    out.write(reinterpret_cast<const char*>(node.community.data()),
-              static_cast<std::streamsize>(node.community.size() *
-                                           sizeof(uint32_t)));
+    WriteArray(out, node.community);
   }
   PadTo8(out, CommunityFileMembersStart(counts) +
                   counts.member_entries * sizeof(uint32_t));
 
-  // Children.
   for (const RecursiveCommunity& node : tree.nodes) {
-    out.write(reinterpret_cast<const char*>(node.children.data()),
-              static_cast<std::streamsize>(node.children.size() *
-                                           sizeof(uint32_t)));
+    WriteArray(out, node.children);
   }
   PadTo8(out, CommunityFileChildrenStart(counts) +
                   counts.child_entries * sizeof(uint32_t));
 
-  // Posting CSR.
-  uint64_t offset = 0;
-  for (uint64_t v = 0; v < num_nodes; ++v) {
-    WritePod(out, offset);
-    offset += postings[v].size();
-  }
-  WritePod(out, offset);
-  for (uint64_t v = 0; v < num_nodes; ++v) {
-    out.write(reinterpret_cast<const char*>(postings[v].data()),
-              static_cast<std::streamsize>(postings[v].size() *
-                                           sizeof(uint32_t)));
-  }
+  WriteArray(out, posting_offsets);
+  WriteArray(out, postings);
   PadTo8(out, CommunityFilePostingsStart(counts) +
                   counts.posting_entries * sizeof(uint32_t));
 
-  // Path sections: node offsets, path offsets, entries.
-  offset = 0;
-  for (uint64_t v = 0; v < num_nodes; ++v) {
-    WritePod(out, offset);
-    offset += paths[v].size();
-  }
-  WritePod(out, offset);
-  offset = 0;
-  for (uint64_t v = 0; v < num_nodes; ++v) {
-    for (const auto& path : paths[v]) {
-      WritePod(out, offset);
-      offset += path.size();
-    }
-  }
-  WritePod(out, offset);
-  for (uint64_t v = 0; v < num_nodes; ++v) {
-    for (const auto& path : paths[v]) {
-      out.write(reinterpret_cast<const char*>(path.data()),
-                static_cast<std::streamsize>(path.size() * sizeof(uint32_t)));
-    }
-  }
+  WriteArray(out, path_node_offsets);
+  WriteArray(out, path_offsets);
+  WriteArray(out, path_entries);
   PadTo8(out, CommunityFilePathEntriesStart(counts) +
                   counts.path_entries * sizeof(uint32_t));
 
@@ -283,11 +364,28 @@ Result<uint64_t> WriteCommunityStoreFile(const RecursiveHierarchy& tree,
                                          uint64_t num_nodes,
                                          uint64_t num_edges,
                                          const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return Status::IOError("cannot open '" + path + "' for writing");
-  }
-  return WriteCommunityStore(tree, num_nodes, num_edges, out);
+  // The snapshot goes to a temporary beside `path` and is renamed over
+  // it only once complete: a rejected tree or a failed write leaves the
+  // old file in place, and readers that still map the old file keep
+  // its bytes instead of seeing them truncated under them.
+  OCA_ASSIGN_OR_RETURN(const std::string tmp, CreateSiblingTemp(path));
+  Result<uint64_t> written = [&]() -> Result<uint64_t> {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (!out) {
+      return Status::IOError("cannot open '" + tmp + "' for writing");
+    }
+    OCA_ASSIGN_OR_RETURN(uint64_t bytes,
+                         WriteCommunityStore(tree, num_nodes, num_edges, out));
+    out.close();
+    if (!out) return Status::IOError("cannot finish writing '" + tmp + "'");
+    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+      return Status::IOError("cannot rename '" + tmp + "' to '" + path +
+                             "': " + std::strerror(errno));
+    }
+    return bytes;
+  }();
+  if (!written.ok()) std::remove(tmp.c_str());
+  return written;
 }
 
 RecursiveHierarchy FlatHierarchyFromResult(const OcaResult& result) {

@@ -30,7 +30,11 @@ Result<uint64_t> WriteCommunityStore(const RecursiveHierarchy& tree,
                                      uint64_t num_nodes, uint64_t num_edges,
                                      std::ostream& out);
 
-/// Same, to a file created (truncated) at `path`.
+/// Same, to the file at `path`, replaced atomically: the snapshot goes
+/// to a new file beside `path` (mode 0666 minus the umask) that is
+/// renamed over `path` only after a complete write. On any error `path`
+/// is left as it was and the new file is removed; a store that opened
+/// the old file keeps reading the old snapshot.
 Result<uint64_t> WriteCommunityStoreFile(const RecursiveHierarchy& tree,
                                          uint64_t num_nodes,
                                          uint64_t num_edges,

@@ -8,20 +8,29 @@
 // Box-Muller draws through libm log/cos, which may differ in the last
 // ulp between C libraries, so c is pinned to a relative 1e-12 and the
 // hashes cover only discrete structure (members, links, stop reasons,
-// iteration counts).
+// iteration counts). Likewise the .ocac snapshot pins hash a whole file
+// only for the handcrafted tree, whose doubles are exact; for built
+// covers and trees they hash the sections from roots up to the level
+// rollups, which hold no doubles.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/oca.h"
 #include "core/recursive_hierarchy.h"
 #include "gen/nested_partition.h"
 #include "gen/weight_assign.h"
+#include "io/community_format.h"
+#include "io/community_serialize.h"
 #include "spectral/spectral_engine.h"
+#include "testing/handcrafted_tree.h"
 
 namespace oca {
 namespace {
@@ -31,6 +40,12 @@ class Fnv1a {
   void Mix(uint64_t v) {
     for (int i = 0; i < 8; ++i) {
       h_ ^= (v >> (8 * i)) & 0xFF;
+      h_ *= 0x100000001B3ull;
+    }
+  }
+  void MixBytes(std::string_view bytes) {
+    for (char ch : bytes) {
+      h_ ^= static_cast<unsigned char>(ch);
       h_ *= 0x100000001B3ull;
     }
   }
@@ -152,6 +167,57 @@ TEST(GoldenPinsTest, RecursiveTreeStructure) {
     EXPECT_EQ(TreeStructureHash(tree), tc.tree_hash)
         << tc.name << std::hex << " got 0x" << TreeStructureHash(tree);
   }
+}
+
+std::string Snapshot(const RecursiveHierarchy& tree, uint64_t num_nodes,
+                     uint64_t num_edges) {
+  std::ostringstream out;
+  auto written = WriteCommunityStore(tree, num_nodes, num_edges, out);
+  EXPECT_TRUE(written.ok()) << written.status().ToString();
+  return out.str();
+}
+
+uint64_t BytesHash(std::string_view bytes) {
+  Fnv1a h;
+  h.MixBytes(bytes);
+  return h.hash();
+}
+
+/// Hash of [CommunityFileRootsStart, CommunityFileLevelsStart): roots,
+/// members, children, postings and paths.
+uint64_t LinkSectionsHash(const std::string& bytes) {
+  // The header's ten u64 counts, from byte 8, are CommunityFileCounts'
+  // fields in order.
+  static_assert(sizeof(CommunityFileCounts) == 10 * sizeof(uint64_t));
+  if (bytes.size() < kCommunityFileHeaderBytes) return 0;  // write failed
+  CommunityFileCounts counts;
+  std::memcpy(&counts, bytes.data() + 8, sizeof(counts));
+  const uint64_t begin = CommunityFileRootsStart(counts);
+  const uint64_t end = CommunityFileLevelsStart(counts);
+  EXPECT_LE(end, bytes.size());
+  return BytesHash(std::string_view(bytes).substr(begin, end - begin));
+}
+
+TEST(GoldenPinsTest, SnapshotBytes) {
+  const uint64_t handcrafted =
+      BytesHash(Snapshot(testing::HandcraftedTree(), 8, 11));
+  EXPECT_EQ(handcrafted, 0xaa859d4ccd53e20bull)
+      << std::hex << " got 0x" << handcrafted;
+
+  const Case& tc = kCases[0];
+  Graph g = GraphFor(tc);
+  OcaResult result = RunOca(g, RunOptions(tc)).value();
+  const uint64_t flat = LinkSectionsHash(Snapshot(
+      FlatHierarchyFromResult(result), g.num_nodes(), g.num_edges()));
+  EXPECT_EQ(flat, 0x7c0159d10bf6cdbcull) << std::hex << " got 0x" << flat;
+
+  RecursiveHierarchyOptions opt;
+  opt.base = RunOptions(tc);
+  RecursiveHierarchy tree = BuildRecursiveHierarchy(g, opt).value();
+  const uint64_t recursive =
+      LinkSectionsHash(Snapshot(tree, g.num_nodes(), g.num_edges()));
+  EXPECT_EQ(recursive, 0x8ccd35047c717ba3ull)
+      << std::hex << " got 0x" << recursive;
 }
 
 }  // namespace

@@ -21,49 +21,15 @@
 #include "core/recursive_hierarchy.h"
 #include "io/community_format.h"
 #include "io/community_serialize.h"
+#include "testing/handcrafted_tree.h"
 
 namespace oca {
 namespace {
 
+using testing::HandcraftedTree;
+
 constexpr uint64_t kNodes = 8;
 constexpr uint64_t kEdges = 11;
-
-/// Two overlapping roots over an 8-node graph, each split once:
-///
-///   root 0 {0..5} -> 2 {0,1,2}, 3 {3,4,5}
-///   root 1 {4..7} -> 4 {6,7}
-///
-/// Nodes 4 and 5 sit in both roots, so the path sections carry genuine
-/// multi-path overlap.
-RecursiveHierarchy HandcraftedTree() {
-  RecursiveHierarchy tree;
-  tree.nodes.resize(5);
-  tree.nodes[0].community = {0, 1, 2, 3, 4, 5};
-  tree.nodes[0].children = {2, 3};
-  tree.nodes[0].stop_reason = "split";
-  tree.nodes[0].subgraph_c = 1.5;
-  tree.nodes[0].subgraph_lambda_min = -0.25;
-  tree.nodes[1].community = {4, 5, 6, 7};
-  tree.nodes[1].children = {4};
-  tree.nodes[1].stop_reason = "split";
-  tree.nodes[2].community = {0, 1, 2};
-  tree.nodes[2].parent = 0;
-  tree.nodes[2].depth = 1;
-  tree.nodes[2].stop_reason = "min_size";
-  tree.nodes[3].community = {3, 4, 5};
-  tree.nodes[3].parent = 0;
-  tree.nodes[3].depth = 1;
-  tree.nodes[3].stop_reason = "density";
-  tree.nodes[4].community = {6, 7};
-  tree.nodes[4].parent = 1;
-  tree.nodes[4].depth = 1;
-  tree.nodes[4].stop_reason = "max_depth";
-  tree.roots = {0, 1};
-  tree.max_depth_reached = 1;
-  tree.root_stats.coupling_constant = 2.25;
-  tree.root_stats.lambda_min = -0.4375;
-  return tree;
-}
 
 class CommunityStoreErrorTest : public ::testing::Test {
  protected:

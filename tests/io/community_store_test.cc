@@ -4,14 +4,17 @@
 // f64 solve records, postings, membership paths and level rollups. The
 // byte-identical server contract (oca_serve answers == fresh in-memory
 // build) rests on this equality, so it is pinned exhaustively here for
-// a handcrafted overlapping tree, a real recursive build, and the flat
-// RunOca-cover wrapping. The writer's tree validation (a malformed tree
-// is an error before the first byte, not a bad file) is pinned too.
+// a handcrafted overlapping tree, a real recursive build, the flat
+// RunOca-cover wrapping and seeded random forests. The writer's tree
+// validation (a malformed tree is an error before the first byte, not a
+// bad file) and its atomic replacement of an existing snapshot are
+// pinned too.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -22,42 +25,13 @@
 #include "gen/nested_partition.h"
 #include "io/community_format.h"
 #include "io/community_serialize.h"
+#include "testing/handcrafted_tree.h"
+#include "util/random.h"
 
 namespace oca {
 namespace {
 
-/// Two overlapping roots over an 8-node graph, each split once (same
-/// fixture as community_store_error_test): nodes 4 and 5 live in both
-/// roots, so overlap flows through postings and paths.
-RecursiveHierarchy HandcraftedTree() {
-  RecursiveHierarchy tree;
-  tree.nodes.resize(5);
-  tree.nodes[0].community = {0, 1, 2, 3, 4, 5};
-  tree.nodes[0].children = {2, 3};
-  tree.nodes[0].stop_reason = "split";
-  tree.nodes[0].subgraph_c = 1.5;
-  tree.nodes[0].subgraph_lambda_min = -0.25;
-  tree.nodes[1].community = {4, 5, 6, 7};
-  tree.nodes[1].children = {4};
-  tree.nodes[1].stop_reason = "split";
-  tree.nodes[2].community = {0, 1, 2};
-  tree.nodes[2].parent = 0;
-  tree.nodes[2].depth = 1;
-  tree.nodes[2].stop_reason = "min_size";
-  tree.nodes[3].community = {3, 4, 5};
-  tree.nodes[3].parent = 0;
-  tree.nodes[3].depth = 1;
-  tree.nodes[3].stop_reason = "density";
-  tree.nodes[4].community = {6, 7};
-  tree.nodes[4].parent = 1;
-  tree.nodes[4].depth = 1;
-  tree.nodes[4].stop_reason = "max_depth";
-  tree.roots = {0, 1};
-  tree.max_depth_reached = 1;
-  tree.root_stats.coupling_constant = 2.25;
-  tree.root_stats.lambda_min = -0.4375;
-  return tree;
-}
+using testing::HandcraftedTree;
 
 std::string TempStorePath(const std::string& tag) {
   return ::testing::TempDir() + "/oca_store_roundtrip_" + tag + ".ocac";
@@ -240,6 +214,144 @@ TEST(CommunityStoreRoundTrip, FlatCoverThroughFlatHierarchy) {
   EXPECT_EQ(store.metadata().coupling_constant, 3.5);
 }
 
+constexpr NodeId kRandomForestNodes = 40;
+
+/// A seeded random forest of depth <= 4 in shapes the recursive builder
+/// never produces: roots listed out of arena order, nodes in several
+/// roots, overlapping siblings, members no child takes, child members
+/// outside their parent, and nodes (the last four ids) in no community.
+RecursiveHierarchy RandomForest(uint64_t seed) {
+  constexpr NodeId kCovered = kRandomForestNodes - 4;
+  constexpr uint32_t kMaxDepth = 4;
+  Rng rng(seed);
+  // `size` distinct members of `pool`, ascending.
+  auto sample = [&](const Community& pool, size_t size) {
+    Community drawn = rng.SampleWithoutReplacement(pool, size);
+    std::sort(drawn.begin(), drawn.end());
+    return drawn;
+  };
+  Community covered(kCovered);
+  for (NodeId v = 0; v < kCovered; ++v) covered[v] = v;
+
+  // Built breadth-first; roots larger than half the covered nodes
+  // overlap pairwise.
+  RecursiveHierarchy built;
+  const size_t num_roots = 2 + rng.NextBounded(3);
+  for (size_t r = 0; r < num_roots; ++r) {
+    RecursiveCommunity root;
+    root.community =
+        sample(covered, kCovered / 2 + 1 + rng.NextBounded(kCovered / 2));
+    built.nodes.push_back(std::move(root));
+  }
+  for (uint32_t i = 0; i < built.nodes.size(); ++i) {
+    if (built.nodes[i].depth == kMaxDepth || !rng.NextBool(0.6)) continue;
+    const Community parent = built.nodes[i].community;
+    const size_t num_children = 1 + rng.NextBounded(3);
+    for (size_t k = 0; k < num_children; ++k) {
+      RecursiveCommunity child;
+      child.community = sample(parent, 1 + rng.NextBounded(parent.size()));
+      const NodeId outsider = static_cast<NodeId>(rng.NextBounded(kCovered));
+      if (rng.NextBool(0.3) && !std::binary_search(child.community.begin(),
+                                                   child.community.end(),
+                                                   outsider)) {
+        child.community.insert(std::upper_bound(child.community.begin(),
+                                                child.community.end(),
+                                                outsider),
+                               outsider);
+      }
+      child.parent = i;
+      child.depth = built.nodes[i].depth + 1;
+      built.nodes[i].children.push_back(
+          static_cast<uint32_t>(built.nodes.size()));
+      built.nodes.push_back(std::move(child));
+    }
+  }
+
+  // Scatter the arena so neither roots nor children follow arena order.
+  std::vector<uint32_t> id(built.nodes.size());
+  for (uint32_t i = 0; i < id.size(); ++i) id[i] = i;
+  rng.Shuffle(&id);
+  RecursiveHierarchy tree;
+  tree.nodes.resize(built.nodes.size());
+  for (uint32_t i = 0; i < built.nodes.size(); ++i) {
+    RecursiveCommunity node = std::move(built.nodes[i]);
+    if (node.parent != RecursiveHierarchy::kNoParent) {
+      node.parent = id[node.parent];
+    }
+    for (uint32_t& ch : node.children) ch = id[ch];
+    node.stop_reason = node.children.empty() ? "min_size" : "split";
+    tree.max_depth_reached =
+        std::max<size_t>(tree.max_depth_reached, node.depth);
+    tree.nodes[id[i]] = std::move(node);
+  }
+  for (uint32_t r = 0; r < num_roots; ++r) tree.roots.push_back(id[r]);
+  if (std::is_sorted(tree.roots.begin(), tree.roots.end())) {
+    std::reverse(tree.roots.begin(), tree.roots.end());
+  }
+  return tree;
+}
+
+TEST(CommunityStoreRoundTrip, RandomForestsMatchMembershipPaths) {
+  // The writer builds postings and paths with its own forest walk; the
+  // sweep compares them with MembershipPaths on every node.
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const RecursiveHierarchy tree = RandomForest(seed);
+    CommunityStore store =
+        WriteAndOpen(tree, kRandomForestNodes, 0, "random_forest");
+    ExpectStoreEqualsTree(store, tree, kRandomForestNodes);
+  }
+}
+
+// ---------------------------------------------------------------------
+// Replacing a snapshot: the file at a path changes only by a rename of
+// a complete new snapshot over it.
+// ---------------------------------------------------------------------
+
+/// A fresh, empty directory for one test's snapshot.
+std::filesystem::path EmptyDir(const std::string& tag) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / ("oca_store_" + tag);
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+TEST(CommunityStoreReplace, RejectedWriteKeepsOldFile) {
+  const std::filesystem::path dir = EmptyDir("replace_rejected");
+  const std::string path = (dir / "store.ocac").string();
+  const RecursiveHierarchy tree = HandcraftedTree();
+  ASSERT_TRUE(WriteCommunityStoreFile(tree, 8, 11, path).ok());
+
+  RecursiveHierarchy bad = HandcraftedTree();
+  bad.nodes[2].stop_reason = "because";
+  EXPECT_TRUE(WriteCommunityStoreFile(bad, 8, 11, path)
+                  .status()
+                  .IsInvalidArgument());
+
+  auto store = CommunityStore::Open(path);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  EXPECT_EQ(store.value().metadata().tree_digest, tree.Digest());
+  std::vector<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    files.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(files, std::vector<std::string>{"store.ocac"});
+}
+
+TEST(CommunityStoreReplace, OpenStoreKeepsItsSnapshot) {
+  const std::string path = (EmptyDir("replace_open") / "store.ocac").string();
+  const RecursiveHierarchy tree = HandcraftedTree();
+  ASSERT_TRUE(WriteCommunityStoreFile(tree, 8, 11, path).ok());
+  auto store = CommunityStore::Open(path);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+
+  // A different, larger snapshot replaces the file while it is mapped.
+  const RecursiveHierarchy other = RandomForest(1);
+  ASSERT_TRUE(WriteCommunityStoreFile(other, kRandomForestNodes, 0, path).ok());
+  ExpectStoreEqualsTree(store.value(), tree, 8);
+}
+
 // ---------------------------------------------------------------------
 // Writer rejection: a malformed tree is a typed kInvalidArgument before
 // any byte is written; a dead stream is kIOError.
@@ -315,6 +427,23 @@ TEST(CommunityStoreWriterErrors, NotAForest) {
   auto s = WriteStatus(tree, 8);
   EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
   EXPECT_NE(s.message().find("forest"), std::string::npos);
+}
+
+TEST(CommunityStoreWriterErrors, ChildListedTwice) {
+  RecursiveHierarchy tree = HandcraftedTree();
+  tree.nodes[0].children = {2, 2};  // and 3 is listed nowhere
+  auto s = WriteStatus(tree, 8);
+  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+  EXPECT_NE(s.message().find("listed twice"), std::string::npos);
+}
+
+TEST(CommunityStoreWriterErrors, RootListedTwice) {
+  RecursiveHierarchy tree = HandcraftedTree();
+  tree.roots = {0, 1, 1};
+  tree.nodes[1].children.clear();  // and 4 is listed nowhere
+  auto s = WriteStatus(tree, 8);
+  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+  EXPECT_NE(s.message().find("listed twice"), std::string::npos);
 }
 
 TEST(CommunityStoreWriterErrors, UnknownStopReason) {
