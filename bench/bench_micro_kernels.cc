@@ -5,7 +5,8 @@
 //   - incremental delta-eval vs naive full re-evaluation of the fitness
 //   - CommunityState add/remove churn
 //   - Bron-Kerbosch clique enumeration (why CFinder is slow)
-//   - greedy local search end-to-end
+//   - greedy local search: per-climb cost against graph size, and the
+//     weighted climber
 //   - the .ocac snapshot writer
 
 #include <benchmark/benchmark.h>
@@ -15,6 +16,7 @@
 #include <ostream>
 #include <streambuf>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/bron_kerbosch.h"
@@ -347,19 +349,49 @@ void BM_CommunityStateChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_CommunityStateChurn);
 
-void BM_GreedyLocalSearch(benchmark::State& state) {
-  const oca::Graph& g = LfrGraph();
-  static const double c = oca::ComputeCouplingConstant(g).value();
+// Per-climb cost against graph size. One climb from each of LfrGraph()'s
+// 2,000 nodes, seeded as RunOca seeds it (the node plus, here
+// deterministically, every other neighbour). Arg: 0 = on LfrGraph()
+// itself; 1 = on the same graph padded with 98,000 isolated nodes
+// (n = 100,000). The climbs are identical, so /1 over /0 is the part of
+// a climb's cost that grows with n, which should be none: a climb costs
+// O(vol(S) + frontier). A single node alone never grows here (c is below
+// the (sqrt(2) - 1) / 2 a lone node needs), hence the larger seeds.
+void BM_ClimbVsGraphSize(benchmark::State& state) {
+  static const oca::Graph* padded = [] {
+    const oca::Graph& g = LfrGraph();
+    std::vector<uint64_t> offsets(g.offsets().begin(), g.offsets().end());
+    offsets.resize(100000 + 1, offsets.back());
+    return new oca::Graph(
+        std::move(offsets),
+        std::vector<oca::NodeId>(g.neighbor_array().begin(),
+                                 g.neighbor_array().end()));
+  }();
+  static const std::vector<oca::Community> seeds = [] {
+    const oca::Graph& g = LfrGraph();
+    std::vector<oca::Community> sets(g.num_nodes());
+    for (oca::NodeId v = 0; v < g.num_nodes(); ++v) {
+      sets[v].push_back(v);
+      auto nbrs = g.Neighbors(v);
+      for (size_t i = 0; i < nbrs.size(); i += 2) sets[v].push_back(nbrs[i]);
+    }
+    return sets;
+  }();
+  static const double c = oca::ComputeCouplingConstant(LfrGraph()).value();
+  const oca::Graph& g = state.range(0) == 0 ? LfrGraph() : *padded;
   oca::LocalSearchOptions opt;
   opt.fitness.c = c;
-  uint64_t seed_node = 0;
   for (auto _ : state) {
-    auto result = oca::GreedyLocalSearch(
-        g, {static_cast<oca::NodeId>(seed_node++ % g.num_nodes())}, opt);
-    benchmark::DoNotOptimize(result);
+    for (const oca::Community& seed : seeds) {
+      auto result = oca::GreedyLocalSearch(g, seed, opt);
+      benchmark::DoNotOptimize(result);
+    }
   }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(seeds.size()));
+  state.SetLabel(state.range(0) == 0 ? "n=2000" : "n=100000");
 }
-BENCHMARK(BM_GreedyLocalSearch);
+BENCHMARK(BM_ClimbVsGraphSize)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // Weighted mat-vec through each compiled-in kernel (same args as
 // BM_MatVecKernel; the graphs carry deterministic hash weights). The

@@ -111,7 +111,10 @@ double FitnessGainRemove(const SubsetStats& stats, size_t deg_in, size_t deg,
 double WeightedFitnessGainAdd(const SubsetStats& stats, double w_deg_in,
                               double w_deg, const FitnessParams& params) {
   assert(params.use_weights);
-  assert(w_deg_in <= w_deg);
+  // Both are sums of the same positive weights, but w_deg_in adds them in
+  // the order members joined S and w_deg in neighbour order, so they may
+  // differ by a few ulps either way; allow for that rounding.
+  assert(w_deg_in <= w_deg * (1 + 1e-9));
   // The weighted evaluation reads only (size, w_in, w_volume); the
   // integer fields pass through unchanged.
   SubsetStats after = stats;

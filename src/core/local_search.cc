@@ -39,19 +39,20 @@ bool DegInRanked(const FitnessParams& params) {
          params.kind == FitnessKind::kRawPhi;
 }
 
-/// Bucket queue over nodes keyed by small non-negative integers
-/// (deg_in <= max_degree). Flat-array storage sized to the graph, reused
+/// Bucket queue over nodes keyed by small non-negative integers (a
+/// deg-in, so never above the node's degree). Flat-array storage reused
 /// across climbs via Reset, so the hot path does no hashing and no
-/// allocation. O(1) insert/erase/re-key; amortized O(1) max/min via
+/// allocation once warm. The bucket array grows on demand to the largest
+/// key ever inserted, so preparing a climb never scans the graph for its
+/// maximum degree. O(1) insert/erase/re-key; amortized O(1) max/min via
 /// moving hints. Deterministic: ties return the most recently inserted
 /// node of the extreme bucket.
 class BucketQueue {
  public:
-  /// Prepares for a graph with `num_nodes` nodes and keys <= max_key.
-  /// Must be empty (freshly constructed or after Reset).
-  void Configure(size_t num_nodes, size_t max_key) {
+  /// Prepares for a graph with `num_nodes` nodes. Must be empty (freshly
+  /// constructed or after Reset).
+  void Configure(size_t num_nodes) {
     if (pos_.size() < num_nodes) pos_.resize(num_nodes, Pos{0, 0, false});
-    if (buckets_.size() < max_key + 1) buckets_.resize(max_key + 1);
     max_hint_ = 0;
     min_hint_ = 0;
     size_ = 0;
@@ -77,6 +78,7 @@ class BucketQueue {
   uint32_t KeyOf(NodeId v) const { return pos_[v].key; }
 
   void Insert(NodeId v, uint32_t key) {
+    if (key >= buckets_.size()) Grow(key);
     auto& bucket = buckets_[key];
     pos_[v] = {key, static_cast<uint32_t>(bucket.size()), true};
     bucket.push_back(v);
@@ -143,6 +145,11 @@ class BucketQueue {
     uint32_t index;
     bool in;
   };
+
+  /// Out of line so that Insert, which the climbs call in their inner
+  /// loops, stays small enough to be inlined there.
+  [[gnu::noinline]] void Grow(uint32_t key) { buckets_.resize(key + 1); }
+
   std::vector<std::vector<NodeId>> buckets_;
   std::vector<Pos> pos_;
   size_t size_ = 0;
@@ -157,10 +164,10 @@ struct ClimbScratch {
   BucketQueue frontier;  // non-members touching S, key = deg_in
   BucketQueue members;   // members, key = deg_in
 
-  void Configure(size_t num_nodes, size_t max_key) {
+  void Configure(size_t num_nodes) {
     if (deg_in.size() < num_nodes) deg_in.resize(num_nodes, 0);
-    frontier.Configure(num_nodes, max_key);
-    members.Configure(num_nodes, max_key);
+    frontier.Configure(num_nodes);
+    members.Configure(num_nodes);
   }
 
   /// Clears everything the last climb touched (deg_in of any node still
@@ -177,7 +184,7 @@ struct ClimbScratch {
 LocalSearchResult FastClimb(const Graph& graph, const Community& seed,
                             const LocalSearchOptions& options) {
   thread_local ClimbScratch scratch;
-  scratch.Configure(graph.num_nodes(), graph.MaxDegree());
+  scratch.Configure(graph.num_nodes());
   auto& deg_in = scratch.deg_in;
   auto& frontier = scratch.frontier;
   auto& members = scratch.members;
@@ -354,8 +361,8 @@ struct WeightedClimbScratch {
     size_t n = graph.num_nodes();
     if (deg_in.size() < n) deg_in.resize(n, 0);
     if (w_deg_in.size() < n) w_deg_in.resize(n, 0.0);
-    frontier.Configure(n, kWeightBuckets - 1);
-    members.Configure(n, kWeightBuckets - 1);
+    frontier.Configure(n);
+    members.Configure(n);
 
     auto weights = graph.weight_array();
     if (weights.data() == cached_weights &&

@@ -1,20 +1,14 @@
 #include "io/community_serialize.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <atomic>
-#include <cerrno>
-#include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <numeric>
 #include <ostream>
 #include <utility>
 #include <vector>
 
 #include "io/community_format.h"
+#include "io/replace_file.h"
 
 namespace oca {
 
@@ -192,28 +186,6 @@ NodePairs MembershipPathEnds(const RecursiveHierarchy& tree,
   return ends;
 }
 
-/// Creates an empty file beside `path` (so renaming it over `path` never
-/// crosses a filesystem) with the mode a plain create gets, 0666 minus
-/// the umask, and returns its name.
-Result<std::string> CreateSiblingTemp(const std::string& path) {
-  static std::atomic<uint64_t> counter{0};
-  for (int attempt = 0; attempt < 100; ++attempt) {
-    const std::string tmp = path + ".tmp." + std::to_string(::getpid()) +
-                            "." + std::to_string(counter++);
-    const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC,
-                          0666);
-    if (fd >= 0) {
-      ::close(fd);
-      return tmp;
-    }
-    if (errno != EEXIST) {
-      return Status::IOError("cannot create '" + tmp +
-                             "': " + std::strerror(errno));
-    }
-  }
-  return Status::IOError("no free temporary name beside '" + path + "'");
-}
-
 }  // namespace
 
 Result<uint64_t> WriteCommunityStore(const RecursiveHierarchy& tree,
@@ -364,28 +336,13 @@ Result<uint64_t> WriteCommunityStoreFile(const RecursiveHierarchy& tree,
                                          uint64_t num_nodes,
                                          uint64_t num_edges,
                                          const std::string& path) {
-  // The snapshot goes to a temporary beside `path` and is renamed over
-  // it only once complete: a rejected tree or a failed write leaves the
-  // old file in place, and readers that still map the old file keep
-  // its bytes instead of seeing them truncated under them.
-  OCA_ASSIGN_OR_RETURN(const std::string tmp, CreateSiblingTemp(path));
-  Result<uint64_t> written = [&]() -> Result<uint64_t> {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      return Status::IOError("cannot open '" + tmp + "' for writing");
-    }
-    OCA_ASSIGN_OR_RETURN(uint64_t bytes,
+  uint64_t bytes = 0;
+  OCA_RETURN_IF_ERROR(ReplaceFile(path, [&](std::ostream& out) -> Status {
+    OCA_ASSIGN_OR_RETURN(bytes,
                          WriteCommunityStore(tree, num_nodes, num_edges, out));
-    out.close();
-    if (!out) return Status::IOError("cannot finish writing '" + tmp + "'");
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-      return Status::IOError("cannot rename '" + tmp + "' to '" + path +
-                             "': " + std::strerror(errno));
-    }
-    return bytes;
-  }();
-  if (!written.ok()) std::remove(tmp.c_str());
-  return written;
+    return Status::OK();
+  }));
+  return bytes;
 }
 
 RecursiveHierarchy FlatHierarchyFromResult(const OcaResult& result) {

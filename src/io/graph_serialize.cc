@@ -5,6 +5,7 @@
 
 #include "graph/graph_checks.h"
 #include "io/graph_format.h"
+#include "io/replace_file.h"
 
 namespace oca {
 
@@ -54,9 +55,9 @@ Status WriteGraphBinary(const Graph& graph, std::ostream& out) {
 }
 
 Status WriteGraphBinaryFile(const Graph& graph, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IOError("cannot open '" + path + "' for writing");
-  return WriteGraphBinary(graph, out);
+  return ReplaceFile(path, [&graph](std::ostream& out) {
+    return WriteGraphBinary(graph, out);
+  });
 }
 
 Result<Graph> ReadGraphBinary(std::istream& in) {

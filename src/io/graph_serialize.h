@@ -16,6 +16,9 @@
 namespace oca {
 
 Status WriteGraphBinary(const Graph& graph, std::ostream& out);
+/// Same, to the file at `path`, replaced atomically (io/replace_file.h):
+/// on error `path` keeps its old contents, and a graph that mapped the
+/// old file (OpenMmapGraph) keeps reading it.
 Status WriteGraphBinaryFile(const Graph& graph, const std::string& path);
 
 Result<Graph> ReadGraphBinary(std::istream& in);

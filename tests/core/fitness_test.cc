@@ -135,6 +135,22 @@ TEST(FitnessGainTest, RemoveInvertsAdd) {
   EXPECT_NEAR(gain_add, -gain_remove, 1e-12);
 }
 
+TEST(FitnessGainTest, WeightedAddToleratesSummationOrder) {
+  // A candidate's weighted deg-in is summed in the order members joined,
+  // its weighted degree in neighbour order: with every neighbour inside S
+  // the two can differ by an ulp, deg-in on the high side.
+  FitnessParams params;
+  params.kind = FitnessKind::kDirectedLaplacian;
+  params.c = 0.45;
+  params.use_weights = true;
+  SubsetStats stats{10, 22, 60, 5.5, 14.0};
+  const double w_deg_in = 0.1 + 0.2 + 0.3;
+  const double w_deg = 0.3 + 0.2 + 0.1;
+  ASSERT_GT(w_deg_in, w_deg);
+  EXPECT_NEAR(WeightedFitnessGainAdd(stats, w_deg_in, w_deg, params),
+              WeightedFitnessGainAdd(stats, w_deg, w_deg, params), 1e-12);
+}
+
 TEST(FitnessKindNameTest, AllNamed) {
   EXPECT_EQ(FitnessKindName(FitnessKind::kDirectedLaplacian),
             "directed_laplacian");

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <thread>
+
 #include "gen/erdos_renyi.h"
 #include "spectral/extreme_eigen.h"
 #include "testing/test_graphs.h"
@@ -144,6 +147,46 @@ TEST(LocalSearchTest, DeterministicForFixedSeedSet) {
   auto b = GreedyLocalSearch(g, {11, 10}, LaplacianOptions(c)).value();
   EXPECT_EQ(a.community, b.community);
   EXPECT_EQ(a.fitness, b.fitness);
+}
+
+TEST(LocalSearchTest, ScratchReuseAcrossGraphsMatchesFreshThread) {
+  // The integer climber keeps per-thread scratch whose bucket array grows
+  // to the largest deg-in it has seen. Climbing a sparse graph, then a
+  // clique whose deg-ins reach 199, then the sparse graph again on one
+  // thread must give exactly what each climb gives on a new thread.
+  Rng rng(3);
+  Graph sparse = ErdosRenyi(200, 0.05, &rng).value();
+  Graph clique = Clique(200);
+  const double c = ComputeCouplingConstant(sparse).value();
+  const LocalSearchOptions opt = LaplacianOptions(c);
+  Community sparse_seed = {10, 11, 120, 150};
+  for (NodeId u : sparse.Neighbors(10)) sparse_seed.push_back(u);
+  Community clique_seed(20);
+  std::iota(clique_seed.begin(), clique_seed.end(), NodeId{0});
+
+  struct Climb {
+    const Graph* graph;
+    const Community* seed;
+  };
+  const Climb climbs[] = {{&sparse, &sparse_seed},
+                          {&clique, &clique_seed},
+                          {&sparse, &sparse_seed}};
+  for (const Climb& climb : climbs) {
+    auto reused = GreedyLocalSearch(*climb.graph, *climb.seed, opt).value();
+    LocalSearchResult fresh;
+    std::thread([&] {
+      fresh = GreedyLocalSearch(*climb.graph, *climb.seed, opt).value();
+    }).join();
+    EXPECT_GT(fresh.steps, 0u);
+    if (climb.graph == &clique) {
+      EXPECT_EQ(fresh.community.size(), 200u);
+    }
+    EXPECT_EQ(reused.community, fresh.community);
+    EXPECT_EQ(reused.fitness, fresh.fitness);
+    EXPECT_EQ(reused.steps, fresh.steps);
+    EXPECT_EQ(reused.adds, fresh.adds);
+    EXPECT_EQ(reused.removes, fresh.removes);
+  }
 }
 
 // Parameterized: for random graphs and several c values, the returned

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <sstream>
 
 #include "gen/erdos_renyi.h"
+#include "graph/mmap_graph.h"
 #include "testing/test_graphs.h"
 #include "util/random.h"
 
@@ -73,6 +75,26 @@ TEST(GraphSerializeTest, FileRoundTrip) {
   ASSERT_TRUE(WriteGraphBinaryFile(g, path).ok());
   Graph loaded = ReadGraphBinaryFile(path).value();
   EXPECT_EQ(loaded.Edges(), g.Edges());
+  std::remove(path.c_str());
+}
+
+TEST(GraphSerializeTest, RewriteKeepsMappedReadersIntact) {
+  // Rewriting a file another Graph has mapped must not truncate the
+  // bytes under that mapping: the mapped copy keeps the old graph, and a
+  // fresh open sees the new one.
+  Rng rng(7);
+  Graph a = ErdosRenyi(2000, 0.01, &rng).value();
+  Graph b = testing::KarateClub();
+  const std::string path = ::testing::TempDir() + "/oca_graph_rewrite.ocag";
+  ASSERT_TRUE(WriteGraphBinaryFile(a, path).ok());
+  Graph mapped = OpenMmapGraph(path).value();
+  ASSERT_TRUE(WriteGraphBinaryFile(b, path).ok());
+  ASSERT_EQ(mapped.num_nodes(), a.num_nodes());
+  for (NodeId v = 0; v < a.num_nodes(); ++v) {
+    ASSERT_TRUE(std::ranges::equal(mapped.Neighbors(v), a.Neighbors(v)))
+        << "row " << v;
+  }
+  EXPECT_EQ(OpenMmapGraph(path).value().Edges(), b.Edges());
   std::remove(path.c_str());
 }
 
