@@ -436,14 +436,12 @@ BENCHMARK(BM_MatVecWeighted)
     ->Args({1, 1})
     ->Args({2, 1});
 
-// Local search on the 960-node nested graph, one climb per node. Arg:
-// 0 = unweighted graph, integer fast path (bucket-queue climber) — the
-// baseline inside the ~81ms hierarchy profile; 1 = all-1.0 weights
-// with use_weights (same covers by the equivalence invariant); 2 = hash
-// weights (genuinely weighted search). Rows 1 and 2 price the weighted
-// axis: both take the quantized weighted bucket-queue climber (the
-// PR9-era numbers, 24ms vs 1.6ms, priced the generic-climber detour
-// that routing replaced).
+// Local search on the 960-node nested graph, one climb per node, all
+// through the one bucket-queue climber. Arg: 0 = unweighted graph, keys
+// are exact deg-ins; 1 = all-1.0 weights with use_weights (the same
+// climbs, by the equivalence invariant); 2 = hash weights (genuinely
+// weighted search). Rows 1 and 2 price the weighted key: the quantized
+// weighted deg-in with an exact rescan of the extreme bucket.
 void BM_LocalSearchWeighted(benchmark::State& state) {
   const oca::Graph& base = NestedBenchGraph();
   static const oca::Graph* unit = [] {
@@ -469,9 +467,9 @@ void BM_LocalSearchWeighted(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(g.num_nodes()));
-  state.SetLabel(state.range(0) == 0   ? "unweighted/fast"
-                 : state.range(0) == 1 ? "unit-weights/fast"
-                                       : "hash-weights/fast");
+  state.SetLabel(state.range(0) == 0   ? "unweighted/exact-key"
+                 : state.range(0) == 1 ? "unit-weights/quantized-key"
+                                       : "hash-weights/quantized-key");
 }
 BENCHMARK(BM_LocalSearchWeighted)
     ->Arg(0)

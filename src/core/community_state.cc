@@ -113,7 +113,7 @@ void CommunityState::Clear() {
 
 SubsetStats ComputeSubsetStats(const Graph& graph, const Community& nodes) {
   // Epoch-marked membership scratch: exactly O(sum deg), no sort and no
-  // per-neighbor binary search. thread_local (mirroring FastClimb's
+  // per-neighbor binary search. thread_local (mirroring the climber's
   // scratch) so metric sweeps over many communities reuse one
   // allocation. `nodes` must be duplicate-free (Community contract).
   thread_local std::vector<uint32_t> mark;

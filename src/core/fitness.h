@@ -62,10 +62,10 @@ struct FitnessParams {
   /// Evaluate from the weighted subset statistics (w_in / w_volume)
   /// instead of the integer edge counts. Meaningful on weighted graphs;
   /// on unweighted ones it is equivalent to all weights being 1.0.
-  /// Deg-in-ranked kinds keep a bucket-queue fast path either way: the
-  /// local search routes weighted graphs to a quantized weighted
-  /// climber and unweighted ones to the integer climber (exact there —
-  /// all-1.0 weights mirror the integer counters bit for bit).
+  /// Deg-in-ranked kinds climb on bucket queues either way: keyed on
+  /// the quantized weighted deg-in on weighted graphs, and on the exact
+  /// deg-in on unweighted ones (exact there — all-1.0 weights mirror
+  /// the integer counters bit for bit).
   bool use_weights = false;
 };
 

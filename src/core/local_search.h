@@ -29,13 +29,6 @@ struct LocalSearchOptions {
   size_t max_community_size = 0;
   /// Allow the removal move (the paper's search uses both directions).
   bool allow_remove = true;
-  /// Testing/ablation escape hatch: skip the bucket-queue fast path
-  /// even when the fitness is deg-in-ranked, forcing the generic
-  /// climber. The two climbers reach local maxima of the same quality
-  /// but break exact ties differently (most-recently-touched vs
-  /// smallest-id), so differential suites that compare against the
-  /// generic weighted path set this to compare like for like.
-  bool force_generic_climber = false;
 };
 
 /// Outcome of one climb.
@@ -50,11 +43,22 @@ struct LocalSearchResult {
 };
 
 /// Climbs from `seed_set` (must be non-empty, members in range, duplicate
-/// free after canonicalization). Deterministic: ties broken toward the
-/// smallest node id.
+/// free after canonicalization). Deterministic, with one tie rule: among
+/// equal-best moves the smallest node id wins, and an add beats a
+/// removal of equal gain. The directed Laplacian and raw phi climb on
+/// bucket queues keyed by deg-in, in O(vol(S)) per climb; the other
+/// fitness kinds rescan every candidate at each step.
 Result<LocalSearchResult> GreedyLocalSearch(const Graph& graph,
                                             const Community& seed_set,
                                             const LocalSearchOptions& options);
+
+/// The rescanning climber alone, for every fitness kind: the reference
+/// that GreedyLocalSearch's bucket queues are tested against. Same
+/// contract and tie rule, hence the same climb, but every step rescores
+/// all members and frontier nodes.
+Result<LocalSearchResult> ReferenceLocalSearch(
+    const Graph& graph, const Community& seed_set,
+    const LocalSearchOptions& options);
 
 }  // namespace oca
 

@@ -12,6 +12,7 @@
 #include "metrics/similarity.h"
 #include "spectral/power_method.h"
 #include "spectral/spectral_engine.h"
+#include "util/random.h"
 #include "util/thread_pool.h"
 
 namespace oca {
@@ -200,6 +201,13 @@ ExpandOutcome ExpandNode(const Graph& graph,
   // engine a shared options copy might carry.
   OcaOptions sub_options = run_options;
   sub_options.engine = &engine;
+  if (sub.graph.num_nodes() == graph.num_nodes()) {
+    // A root that spans the whole graph: with the top-level seed this
+    // run would replay the top-level run and re-find only the other
+    // roots. Children are strictly smaller than their parents, so only
+    // a root can get here. Draw from a stream RunOca never uses.
+    sub_options.seed = Rng(run_options.seed).Fork(2).Next();
+  }
   auto run_result = RunOca(sub.graph, sub_options);
   // The subgraph dies with this expansion; its cache entry must not
   // survive to alias a future subgraph at the same heap address.

@@ -52,7 +52,10 @@ namespace oca {
 struct RecursiveHierarchyOptions {
   /// Base OCA configuration (seed, halting, postprocessing), applied to
   /// the top-level run and to every subgraph run. The coupling constant
-  /// is re-resolved per graph and must be left at "compute" (<= 0).
+  /// is re-resolved per graph and must be left at "compute" (<= 0). One
+  /// exception to the shared seed: a root that spans the whole graph
+  /// runs with a seed derived from base.seed, since with base.seed
+  /// itself its run would replay the top-level run.
   OcaOptions base;
 
   /// Communities smaller than this are leaves (stop reason "min_size").

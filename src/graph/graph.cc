@@ -1,8 +1,14 @@
 #include "graph/graph.h"
 
 #include <algorithm>
+#include <atomic>
 
 namespace oca {
+
+uint64_t Graph::NextId() {
+  static std::atomic<uint64_t> last{0};
+  return last.fetch_add(1, std::memory_order_relaxed) + 1;
+}
 
 bool Graph::HasEdge(NodeId u, NodeId v) const {
   if (u >= num_nodes() || v >= num_nodes()) return false;

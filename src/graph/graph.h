@@ -128,7 +128,8 @@ class Graph {
   // external backend the views target the shared backing and transfer
   // verbatim.
   Graph(const Graph& other)
-      : offsets_(other.offsets_),
+      : id_(other.id_),
+        offsets_(other.offsets_),
         neighbors_(other.neighbors_),
         weights_(other.weights_),
         original_ids_(other.original_ids_),
@@ -140,6 +141,7 @@ class Graph {
   }
   Graph& operator=(const Graph& other) {
     if (this != &other) {
+      id_ = other.id_;
       offsets_ = other.offsets_;
       neighbors_ = other.neighbors_;
       weights_ = other.weights_;
@@ -153,7 +155,8 @@ class Graph {
     return *this;
   }
   Graph(Graph&& other) noexcept
-      : offsets_(std::move(other.offsets_)),
+      : id_(other.id_),
+        offsets_(std::move(other.offsets_)),
         neighbors_(std::move(other.neighbors_)),
         weights_(std::move(other.weights_)),
         original_ids_(std::move(other.original_ids_)),
@@ -166,6 +169,7 @@ class Graph {
   }
   Graph& operator=(Graph&& other) noexcept {
     if (this != &other) {
+      id_ = other.id_;
       offsets_ = std::move(other.offsets_);
       neighbors_ = std::move(other.neighbors_);
       weights_ = std::move(other.weights_);
@@ -179,6 +183,14 @@ class Graph {
     }
     return *this;
   }
+
+  /// Identity of this graph's contents, for caches keyed on a graph.
+  /// Every constructor that builds new contents (the owning ones,
+  /// FromExternal) and every reset to empty takes a fresh id from a
+  /// process-wide counter, so two graphs alive at different times never
+  /// share one, even over the same storage. Copies and moves keep the
+  /// id: they hold the same arrays. Never 0.
+  uint64_t id() const { return id_; }
 
   /// Number of nodes n.
   size_t num_nodes() const {
@@ -322,6 +334,7 @@ class Graph {
     weights_view_ = {weights_.data(), weights_.size()};
   }
   void ResetToEmpty() {
+    id_ = NextId();
     offsets_.assign(1, 0);
     neighbors_.clear();
     weights_.clear();
@@ -330,6 +343,9 @@ class Graph {
     RebindOwnedViews();
   }
 
+  static uint64_t NextId();
+
+  uint64_t id_ = NextId();
   std::vector<uint64_t> offsets_;   // n+1 prefix offsets (in-memory backend)
   std::vector<NodeId> neighbors_;   // concatenated sorted adjacency lists
   std::vector<double> weights_;     // per-edge weights; empty = unweighted

@@ -81,11 +81,19 @@ struct Case {
   uint64_t tree_hash;
 };
 
+// Both tree hashes were re-recorded once, for two reasons. The
+// unweighted one, and the recursive snapshot hash below, moved when the
+// integer climber took up the smallest-id tie rule: exact deg-in ties in
+// the subgraph climbs now fall to the smallest id instead of the last
+// node filed. The weighted top-level cover holds a root spanning the
+// whole graph; that root's run now draws its own seed instead of
+// replaying the top-level run, so its subtree changed. The flat covers
+// did not move.
 constexpr Case kCases[] = {
     {"nested21", false, 36, 0.10578983723657727, 0x27af20129aba5a7dull,
-     0xb8cf2680b87ef1ebull},
+     0xab11c32c4682ae9full},
     {"nested21_hashed_weights", true, 44, 0.077502395249435155,
-     0x52928ca08d2a28a3ull, 0x3364f625acdc0601ull},
+     0x52928ca08d2a28a3ull, 0x25e0a395d7a3a91eull},
 };
 
 Graph GraphFor(const Case& tc) {
@@ -216,7 +224,7 @@ TEST(GoldenPinsTest, SnapshotBytes) {
   RecursiveHierarchy tree = BuildRecursiveHierarchy(g, opt).value();
   const uint64_t recursive =
       LinkSectionsHash(Snapshot(tree, g.num_nodes(), g.num_edges()));
-  EXPECT_EQ(recursive, 0x8ccd35047c717ba3ull)
+  EXPECT_EQ(recursive, 0xdae28746ea3aedf5ull)
       << std::hex << " got 0x" << recursive;
 }
 

@@ -150,7 +150,7 @@ TEST(LocalSearchTest, DeterministicForFixedSeedSet) {
 }
 
 TEST(LocalSearchTest, ScratchReuseAcrossGraphsMatchesFreshThread) {
-  // The integer climber keeps per-thread scratch whose bucket array grows
+  // The bucket climber keeps per-thread scratch whose bucket array grows
   // to the largest deg-in it has seen. Climbing a sparse graph, then a
   // clique whose deg-ins reach 199, then the sparse graph again on one
   // thread must give exactly what each climb gives on a new thread.

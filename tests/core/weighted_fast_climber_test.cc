@@ -1,18 +1,20 @@
-// Differential pins for the QUANTIZED weighted fast climber: on a
-// weighted graph with use_weights set, GreedyLocalSearch routes to a
-// bucket-queue climber keyed on the quantized weighted deg-in. The
-// quantization is monotone and candidate selection rescans the extreme
-// bucket exactly, so — with distinct hashed weights, where exact
-// floating-point ties do not occur — every greedy decision must match
-// the generic reference climber, and the replicated CommunityState
-// bookkeeping must make the resulting SubsetStats bit-identical.
+// Differential pins for the bucket-queue climber. GreedyLocalSearch
+// climbs deg-in-ranked fitness on bucket queues: keyed on the exact
+// deg-in, or, with use_weights on a weighted graph, on the quantized
+// weighted deg-in with an exact rescan of the extreme bucket. It keeps
+// the same tie rule as the reference scan (ReferenceLocalSearch), so
+// every climb must match the reference exactly: community, fitness
+// bits, step counts and SubsetStats bits, on unweighted, all-1.0 and
+// hashed-weight graphs alike.
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <span>
+#include <thread>
 #include <vector>
 
 #include "core/local_search.h"
-#include "core/oca.h"
 #include "gen/nested_partition.h"
 #include "gen/weight_assign.h"
 #include "testing/test_graphs.h"
@@ -41,46 +43,62 @@ Graph HashWeighted(const Graph& g, double lo = 0.1, double hi = 10.0,
   return AssignWeights(g, options).value();
 }
 
-void ExpectClimbsMatch(const Graph& weighted, const LocalSearchOptions& base,
-                       NodeId seed) {
-  LocalSearchOptions fast_opt = base;
-  fast_opt.force_generic_climber = false;
-  LocalSearchOptions generic_opt = base;
-  generic_opt.force_generic_climber = true;
-  auto fast = GreedyLocalSearch(weighted, {seed}, fast_opt).value();
-  auto generic = GreedyLocalSearch(weighted, {seed}, generic_opt).value();
-  ASSERT_EQ(fast.community, generic.community) << "seed " << seed;
-  EXPECT_EQ(fast.fitness, generic.fitness) << "seed " << seed;
-  EXPECT_EQ(fast.steps, generic.steps) << "seed " << seed;
-  EXPECT_EQ(fast.adds, generic.adds) << "seed " << seed;
-  EXPECT_EQ(fast.removes, generic.removes) << "seed " << seed;
+Graph UnitWeighted(const Graph& g) {
+  WeightAssignOptions options;
+  options.scheme = WeightScheme::kUnit;
+  return AssignWeights(g, options).value();
+}
+
+void ExpectClimbsMatch(const Graph& graph, const LocalSearchOptions& options,
+                       const Community& seed) {
+  auto fast = GreedyLocalSearch(graph, seed, options).value();
+  auto reference = ReferenceLocalSearch(graph, seed, options).value();
+  const NodeId first = seed.front();
+  ASSERT_EQ(fast.community, reference.community) << "seed " << first;
+  EXPECT_EQ(fast.fitness, reference.fitness) << "seed " << first;
+  EXPECT_EQ(fast.steps, reference.steps) << "seed " << first;
+  EXPECT_EQ(fast.adds, reference.adds) << "seed " << first;
+  EXPECT_EQ(fast.removes, reference.removes) << "seed " << first;
+  EXPECT_EQ(fast.hit_step_cap, reference.hit_step_cap) << "seed " << first;
   // Bookkeeping parity: identical move sequence + identical per-move
   // float accumulation order = bit-identical weighted stats.
-  EXPECT_EQ(fast.stats.w_in, generic.stats.w_in) << "seed " << seed;
-  EXPECT_EQ(fast.stats.w_volume, generic.stats.w_volume) << "seed " << seed;
-  EXPECT_EQ(fast.stats.ein, generic.stats.ein) << "seed " << seed;
-  EXPECT_EQ(fast.stats.volume, generic.stats.volume) << "seed " << seed;
+  EXPECT_EQ(fast.stats.size, reference.stats.size) << "seed " << first;
+  EXPECT_EQ(fast.stats.ein, reference.stats.ein) << "seed " << first;
+  EXPECT_EQ(fast.stats.volume, reference.stats.volume) << "seed " << first;
+  EXPECT_EQ(fast.stats.w_in, reference.stats.w_in) << "seed " << first;
+  EXPECT_EQ(fast.stats.w_volume, reference.stats.w_volume)
+      << "seed " << first;
+}
+
+// Every single-node climb of `graph`, with use_weights as given.
+void ExpectAllSeedsMatch(const Graph& graph, LocalSearchOptions options,
+                         bool use_weights) {
+  options.fitness.use_weights = use_weights;
+  for (NodeId seed = 0; seed < graph.num_nodes(); ++seed) {
+    ExpectClimbsMatch(graph, options, {seed});
+  }
 }
 
 TEST(WeightedFastClimberTest, MatchesGenericFromEverySeed) {
-  Graph weighted = HashWeighted(NestedGraph());
   LocalSearchOptions options;
   options.fitness.c = 0.4;
-  options.fitness.use_weights = true;
-  for (NodeId seed = 0; seed < weighted.num_nodes(); ++seed) {
-    ExpectClimbsMatch(weighted, options, seed);
-  }
+  const Graph g = NestedGraph();
+  ExpectAllSeedsMatch(HashWeighted(g), options, true);
+  // Unweighted and all-1.0 graphs: exact deg-ins tie often, so these
+  // inputs pin the tie rule itself.
+  ExpectAllSeedsMatch(g, options, false);
+  ExpectAllSeedsMatch(g, options, true);
+  ExpectAllSeedsMatch(UnitWeighted(g), options, true);
 }
 
 TEST(WeightedFastClimberTest, MatchesGenericOnSmallFixtures) {
   for (const Graph& g : {testing::KarateClub(), testing::TwoCliquesOverlap(),
                          testing::TwoCliquesBridge()}) {
-    Graph weighted = HashWeighted(g, 0.5, 4.0, 7);
-    LocalSearchOptions options;
-    options.fitness.use_weights = true;
-    for (NodeId seed = 0; seed < weighted.num_nodes(); ++seed) {
-      ExpectClimbsMatch(weighted, options, seed);
-    }
+    const LocalSearchOptions options;
+    ExpectAllSeedsMatch(HashWeighted(g, 0.5, 4.0, 7), options, true);
+    ExpectAllSeedsMatch(g, options, false);
+    ExpectAllSeedsMatch(g, options, true);
+    ExpectAllSeedsMatch(UnitWeighted(g), options, true);
   }
 }
 
@@ -98,9 +116,14 @@ TEST(WeightedFastClimberTest, MatchesGenericUnderOptionVariants) {
   few_steps.max_steps = 5;
   LocalSearchOptions coarse = base;
   coarse.epsilon = 0.05;
+  const Graph unweighted = NestedGraph();
   for (const auto& options : {capped, no_remove, few_steps, coarse}) {
+    LocalSearchOptions integer = options;
+    integer.fitness.use_weights = false;
     for (NodeId seed = 0; seed < weighted.num_nodes(); seed += 7) {
-      ExpectClimbsMatch(weighted, options, seed);
+      ExpectClimbsMatch(weighted, options, {seed});
+      ExpectClimbsMatch(unweighted, options, {seed});
+      ExpectClimbsMatch(unweighted, integer, {seed});
     }
   }
 }
@@ -114,8 +137,12 @@ TEST(WeightedFastClimberTest, MatchesGenericOnRawPhi) {
   options.fitness.c = 0.4;
   options.fitness.use_weights = true;
   options.max_community_size = 12;
+  const Graph unweighted = NestedGraph();
+  LocalSearchOptions integer = options;
+  integer.fitness.use_weights = false;
   for (NodeId seed = 0; seed < weighted.num_nodes(); seed += 5) {
-    ExpectClimbsMatch(weighted, options, seed);
+    ExpectClimbsMatch(weighted, options, {seed});
+    ExpectClimbsMatch(unweighted, integer, {seed});
   }
 }
 
@@ -127,29 +154,34 @@ TEST(WeightedFastClimberTest, MatchesGenericUnderExtremeWeightSkew) {
   LocalSearchOptions options;
   options.fitness.use_weights = true;
   for (NodeId seed = 0; seed < weighted.num_nodes(); ++seed) {
-    ExpectClimbsMatch(weighted, options, seed);
+    ExpectClimbsMatch(weighted, options, {seed});
   }
 }
 
 TEST(WeightedFastClimberTest, MultiNodeSeedsMatchGeneric) {
-  Graph weighted = HashWeighted(NestedGraph());
-  LocalSearchOptions fast_opt;
-  fast_opt.fitness.c = 0.4;
-  fast_opt.fitness.use_weights = true;
-  LocalSearchOptions generic_opt = fast_opt;
-  generic_opt.force_generic_climber = true;
+  // RunOca seeds climbs with a node plus part of its neighbourhood, so
+  // multi-node seeds are the shape every cover is built from.
+  const Graph unweighted = NestedGraph();
+  const Graph weighted = HashWeighted(unweighted);
+  LocalSearchOptions options;
+  options.fitness.c = 0.4;
+  LocalSearchOptions integer = options;
+  options.fitness.use_weights = true;
   for (NodeId base = 0; base + 4 < weighted.num_nodes(); base += 11) {
     Community seed{base, base + 1, base + 4};
-    auto fast = GreedyLocalSearch(weighted, seed, fast_opt).value();
-    auto generic = GreedyLocalSearch(weighted, seed, generic_opt).value();
-    ASSERT_EQ(fast.community, generic.community) << "base " << base;
-    EXPECT_EQ(fast.fitness, generic.fitness) << "base " << base;
+    ExpectClimbsMatch(weighted, options, seed);
+    ExpectClimbsMatch(unweighted, integer, seed);
+    auto nbrs = unweighted.Neighbors(base);
+    Community ball{base};
+    for (size_t i = 0; i < nbrs.size(); i += 2) ball.push_back(nbrs[i]);
+    ExpectClimbsMatch(weighted, options, ball);
+    ExpectClimbsMatch(unweighted, integer, ball);
   }
 }
 
 TEST(WeightedFastClimberTest, ScratchCacheSurvivesGraphSwitch) {
   // The per-thread scratch caches the weighted-degree table and the
-  // quantization scale keyed on the graph's weight storage; alternating
+  // quantization scale keyed on Graph::id(); alternating
   // between two different weighted graphs on one thread must invalidate
   // and rebuild, never reuse stale scales.
   Graph a = HashWeighted(NestedGraph(), 0.1, 10.0, 1);
@@ -168,11 +200,50 @@ TEST(WeightedFastClimberTest, ScratchCacheSurvivesGraphSwitch) {
   }
 }
 
+TEST(WeightedFastClimberTest, ScratchCacheSeesWeightsRewrittenInPlace) {
+  // Two graphs wrapped over the SAME caller-owned arrays, the weights
+  // tripled in between, look alike by address and length. The scratch
+  // must still rebuild its weighted-degree table for the second one.
+  const Graph source = HashWeighted(NestedGraph());
+  std::vector<uint64_t> offsets(source.offsets().begin(),
+                                source.offsets().end());
+  std::vector<NodeId> neighbors(source.neighbor_array().begin(),
+                                source.neighbor_array().end());
+  std::vector<double> weights(source.weight_array().begin(),
+                              source.weight_array().end());
+  // The caller owns the arrays, so the keep-alive handle owns nothing.
+  const std::shared_ptr<const void> caller_owned(weights.data(),
+                                                 [](const void*) {});
+  auto wrap = [&] {
+    return Graph::FromExternal(std::span<const uint64_t>(offsets),
+                               std::span<const NodeId>(neighbors),
+                               std::span<const double>(weights),
+                               caller_owned);
+  };
+  LocalSearchOptions options;
+  options.fitness.c = 0.4;
+  options.fitness.use_weights = true;
+  const Community seed = {3};
+
+  ASSERT_TRUE(GreedyLocalSearch(wrap(), seed, options).ok());
+  for (double& w : weights) w *= 3.0;
+  const Graph tripled = wrap();
+  auto reused = GreedyLocalSearch(tripled, seed, options).value();
+  LocalSearchResult fresh;
+  std::thread([&] {
+    fresh = GreedyLocalSearch(tripled, seed, options).value();
+  }).join();
+  EXPECT_EQ(reused.stats.w_volume, fresh.stats.w_volume);
+  EXPECT_EQ(reused.stats.w_in, fresh.stats.w_in);
+  EXPECT_EQ(reused.community, fresh.community);
+  EXPECT_EQ(reused.fitness, fresh.fitness);
+}
+
 TEST(WeightedFastClimberTest, UnweightedGraphWithUseWeightsTakesIntegerPath) {
-  // use_weights on an UNWEIGHTED graph is the all-1.0 case: the integer
-  // climber's mirrored stats make every weighted evaluation
-  // bit-identical to the integer one, so the route through FastClimb
-  // must reproduce the integer run exactly — covers, fitness, steps.
+  // use_weights on an UNWEIGHTED graph is the all-1.0 case: the weighted
+  // evaluation of the mirrored stats is bit-identical to the integer
+  // one, so the climb on the exact integer key must reproduce the
+  // integer run exactly — covers, fitness, steps.
   Graph g = NestedGraph();
   LocalSearchOptions integer_opt;
   integer_opt.fitness.c = 0.4;
@@ -185,23 +256,6 @@ TEST(WeightedFastClimberTest, UnweightedGraphWithUseWeightsTakesIntegerPath) {
     EXPECT_EQ(base.fitness, wtd.fitness) << "seed " << seed;
     EXPECT_EQ(base.steps, wtd.steps) << "seed " << seed;
   }
-}
-
-TEST(WeightedFastClimberTest, WeightedOcaCoverMatchesGeneric) {
-  // End to end: the full RunOca pipeline on a weighted graph produces
-  // the identical cover whether climbs take the quantized fast path or
-  // the generic reference.
-  Graph weighted = HashWeighted(NestedGraph());
-  OcaOptions options;
-  options.seed = 5;
-  options.halting.max_seeds = 300;
-  options.halting.target_coverage = 0.97;
-  options.search.fitness.use_weights = true;
-  auto fast = RunOca(weighted, options).value();
-  options.search.force_generic_climber = true;
-  auto generic = RunOca(weighted, options).value();
-  EXPECT_EQ(fast.cover, generic.cover);
-  EXPECT_EQ(fast.stats.coupling_constant, generic.stats.coupling_constant);
 }
 
 }  // namespace
