@@ -15,7 +15,6 @@
 #include <cmath>
 #include <ostream>
 #include <streambuf>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -35,25 +34,6 @@
 #include "util/random.h"
 
 namespace {
-
-/// Restores the full kernel-dispatch state, including per-graph auto
-/// mode, on scope exit.
-class KernelScope {
- public:
-  KernelScope() : was_auto_(oca::CsrKernelIsAuto()),
-                  prev_(oca::ActiveCsrKernel()) {}
-  ~KernelScope() {
-    if (was_auto_) {
-      oca::SetCsrKernelAuto();
-    } else {
-      oca::SetCsrKernel(prev_);
-    }
-  }
-
- private:
-  bool was_auto_;
-  oca::CsrKernelKind prev_;
-};
 
 const oca::Graph& LfrGraph() {
   static const oca::Graph* graph = [] {
@@ -82,9 +62,7 @@ void BM_PowerMethodMatVec(benchmark::State& state) {
 }
 BENCHMARK(BM_PowerMethodMatVec);
 
-/// Wide-row counterpart to the narrow LFR graph: mean degree ~80, the
-/// regime where the AVX2 gather kernel pays for itself and the
-/// dispatch heuristic picks it.
+/// Wide-row counterpart to the narrow LFR graph: mean degree ~80.
 const oca::Graph& WideErGraph() {
   static const oca::Graph* graph = [] {
     oca::Rng rng(13);
@@ -93,28 +71,8 @@ const oca::Graph& WideErGraph() {
   return *graph;
 }
 
-// The same product through each compiled-in CSR kernel (results are
-// bit-identical; these rows measure speed only). Arg 0: 0 = portable,
-// 1 = AVX2, 2 = auto dispatch (the mean-row-length heuristic picks at
-// graph-open time; the label shows what it resolved to). Arg 1 selects
-// the graph: 0 = narrow LFR (mean degree ~20, below the gather
-// threshold), 1 = wide ER (mean degree ~80, above it).
-void BM_MatVecKernel(benchmark::State& state) {
-  KernelScope scope;
-  const oca::Graph& g = state.range(1) == 0 ? LfrGraph() : WideErGraph();
-  std::string label = state.range(1) == 0 ? "narrow/" : "wide/";
-  if (state.range(0) == 2) {
-    oca::SetCsrKernelAuto();
-    label += std::string("auto->") + oca::CsrKernelName(oca::CsrKernelFor(g));
-  } else {
-    const auto kind = static_cast<oca::CsrKernelKind>(state.range(0));
-    if (!oca::CsrKernelAvailable(kind)) {
-      state.SkipWithError("kernel not available on this build/CPU");
-      return;
-    }
-    oca::SetCsrKernel(kind);
-    label += oca::CsrKernelName(kind);
-  }
+/// One full-range product through the CSR row kernel; items = 2E.
+void RunMatVecRows(benchmark::State& state, const oca::Graph& g) {
   std::vector<double> x(g.num_nodes(), 1.0), y(g.num_nodes());
   for (auto _ : state) {
     oca::AdjacencyMatVecRows(g, 0, g.num_nodes(), x.data(), y.data());
@@ -122,15 +80,15 @@ void BM_MatVecKernel(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(g.num_edges() * 2));
-  state.SetLabel(label);
+  state.SetLabel(state.range(0) == 0 ? "narrow" : "wide");
 }
-BENCHMARK(BM_MatVecKernel)
-    ->Args({0, 0})
-    ->Args({1, 0})
-    ->Args({2, 0})
-    ->Args({0, 1})
-    ->Args({1, 1})
-    ->Args({2, 1});
+
+// The CSR row kernel on short and long rows. Arg: 0 = narrow LFR (mean
+// degree ~20), 1 = wide ER (mean degree ~80).
+void BM_MatVecKernel(benchmark::State& state) {
+  RunMatVecRows(state, state.range(0) == 0 ? LfrGraph() : WideErGraph());
+}
+BENCHMARK(BM_MatVecKernel)->Arg(0)->Arg(1);
 
 /// The ISSUE acceptance graph for the batched-solve rows: 960 nodes in
 /// a 6 x 4 x 40 nested planted partition, seed 7.
@@ -167,7 +125,6 @@ void BM_MatVecMulti(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(k * g.num_edges() * 2));
-  state.SetLabel(oca::CsrKernelName(oca::CsrKernelFor(g)));
 }
 BENCHMARK(BM_MatVecMulti)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
@@ -393,48 +350,20 @@ void BM_ClimbVsGraphSize(benchmark::State& state) {
 }
 BENCHMARK(BM_ClimbVsGraphSize)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-// Weighted mat-vec through each compiled-in kernel (same args as
-// BM_MatVecKernel; the graphs carry deterministic hash weights). The
-// delta against the unweighted rows is the cost of the third CSR
-// stream: one extra 8-byte load per edge, a mul instead of nothing.
+// Weighted mat-vec (same args as BM_MatVecKernel; the graphs carry
+// deterministic hash weights). The delta against the unweighted rows is
+// the cost of the third CSR stream: one extra 8-byte load per edge, a
+// mul instead of nothing.
 void BM_MatVecWeighted(benchmark::State& state) {
-  KernelScope scope;
   static const oca::Graph* narrow = [] {
     return new oca::Graph(oca::AssignWeights(LfrGraph()).value());
   }();
   static const oca::Graph* wide = [] {
     return new oca::Graph(oca::AssignWeights(WideErGraph()).value());
   }();
-  const oca::Graph& g = state.range(1) == 0 ? *narrow : *wide;
-  std::string label = state.range(1) == 0 ? "narrow/" : "wide/";
-  if (state.range(0) == 2) {
-    oca::SetCsrKernelAuto();
-    label += std::string("auto->") + oca::CsrKernelName(oca::CsrKernelFor(g));
-  } else {
-    const auto kind = static_cast<oca::CsrKernelKind>(state.range(0));
-    if (!oca::CsrKernelAvailable(kind)) {
-      state.SkipWithError("kernel not available on this build/CPU");
-      return;
-    }
-    oca::SetCsrKernel(kind);
-    label += oca::CsrKernelName(kind);
-  }
-  std::vector<double> x(g.num_nodes(), 1.0), y(g.num_nodes());
-  for (auto _ : state) {
-    oca::AdjacencyMatVecRows(g, 0, g.num_nodes(), x.data(), y.data());
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(g.num_edges() * 2));
-  state.SetLabel(label);
+  RunMatVecRows(state, state.range(0) == 0 ? *narrow : *wide);
 }
-BENCHMARK(BM_MatVecWeighted)
-    ->Args({0, 0})
-    ->Args({1, 0})
-    ->Args({2, 0})
-    ->Args({0, 1})
-    ->Args({1, 1})
-    ->Args({2, 1});
+BENCHMARK(BM_MatVecWeighted)->Arg(0)->Arg(1);
 
 // Local search on the 960-node nested graph, one climb per node, all
 // through the one bucket-queue climber. Arg: 0 = unweighted graph, keys

@@ -243,8 +243,7 @@ struct RecursiveHierarchy {
   /// `graph` must be the (reordered) graph the tree was built on; a
   /// no-op when it carries no permutation. After mapping,
   /// MembershipPaths/LeafCover speak original ids, and Digest() is
-  /// comparable across thread counts and kernel variants for the same
-  /// reordered input. (It is NOT bit-comparable against a build on the
+  /// comparable across thread counts for the same reordered input. (It is NOT bit-comparable against a build on the
   /// un-reordered graph: relabeling reassociates the kernel's
   /// floating-point sums, so spectral quantities differ in low-order
   /// bits even though the recovered structure matches.)

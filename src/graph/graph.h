@@ -17,7 +17,7 @@
 // There is deliberately NO virtual dispatch: every accessor reads the
 // same two spans regardless of backend, so the CSR mat-vec kernel
 // (spectral/csr_matvec.h), the k-core/OCA scan loops, and every digest
-// pin (kernels x threads x reordering) behave identically — and are
+// pin (threads x reordering) behave identically — and are
 // bit-identical — on both backends. The backend choice is a memory/IO
 // trade, never an observable one (tests/graph/backend_equivalence_test
 // enforces this).

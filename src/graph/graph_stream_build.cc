@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "io/graph_format.h"
+#include "io/replace_file.h"
 
 namespace oca {
 
@@ -94,16 +95,17 @@ Status ScanSourceWeighted(EdgeSource& source, std::vector<Edge>& batch,
 /// holds (neighbor, weight) pairs, dedup sums weights in (neighbor,
 /// weight)-sorted order, and kept weights are staged to a sequential
 /// temp file because the v2 weight section's position depends on the
-/// final post-dedup neighbor count. Writes a version-2 header.
+/// final post-dedup neighbor count. Writes a version-2 header into the
+/// empty file at `path`.
 Result<StreamBuildStats> BuildWeightedGraphFile(
     uint64_t n, EdgeSource& source, const std::string& path,
     const StreamBuildOptions& options) {
   StreamBuildStats stats;
   stats.num_nodes = n;
 
-  int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  int fd = ::open(path.c_str(), O_RDWR | O_CLOEXEC);
   if (fd < 0) {
-    return Status::IOError("cannot create '" + path +
+    return Status::IOError("cannot open '" + path +
                            "': " + std::strerror(errno));
   }
   const std::string wtmp_path = path + ".wtmp";
@@ -359,24 +361,19 @@ Result<size_t> VectorWeightedEdgeSource::ReadBatchWeighted(
   return take;
 }
 
-Result<StreamBuildStats> BuildGraphFileFromEdges(
-    size_t num_nodes, EdgeSource& source, const std::string& path,
+namespace {
+
+/// The chunked two-pass build of an unweighted graph into the empty
+/// file at `path`. Writes a version-1 header.
+Result<StreamBuildStats> BuildUnweightedGraphFile(
+    uint64_t n, EdgeSource& source, const std::string& path,
     const StreamBuildOptions& options) {
-  if (num_nodes == 0) {
-    return Status::InvalidArgument(
-        "cannot stream-build a graph file with zero nodes (the OCAG "
-        "format requires n > 0)");
-  }
-  const uint64_t n = num_nodes;
-  if (source.has_weights()) {
-    return BuildWeightedGraphFile(n, source, path, options);
-  }
   StreamBuildStats stats;
   stats.num_nodes = n;
 
-  int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  int fd = ::open(path.c_str(), O_RDWR | O_CLOEXEC);
   if (fd < 0) {
-    return Status::IOError("cannot create '" + path +
+    return Status::IOError("cannot open '" + path +
                            "': " + std::strerror(errno));
   }
   // Single close point; success rewrites `result` before falling out.
@@ -539,6 +536,28 @@ Result<StreamBuildStats> BuildGraphFileFromEdges(
                            "' failed: " + std::strerror(errno));
   }
   return result;
+}
+
+}  // namespace
+
+Result<StreamBuildStats> BuildGraphFileFromEdges(
+    size_t num_nodes, EdgeSource& source, const std::string& path,
+    const StreamBuildOptions& options) {
+  if (num_nodes == 0) {
+    return Status::InvalidArgument(
+        "cannot stream-build a graph file with zero nodes (the OCAG "
+        "format requires n > 0)");
+  }
+  const uint64_t n = num_nodes;
+  Result<StreamBuildStats> built =
+      Status::Internal("stream build did not run");
+  OCA_RETURN_IF_ERROR(ReplaceFile(path, [&](const std::string& tmp) {
+    built = source.has_weights()
+                ? BuildWeightedGraphFile(n, source, tmp, options)
+                : BuildUnweightedGraphFile(n, source, tmp, options);
+    return built.status();
+  }));
+  return built;
 }
 
 }  // namespace oca

@@ -131,13 +131,16 @@ struct StreamBuildStats {
 /// Streams `source` into an OCAG graph file at `path` for a graph on
 /// `num_nodes` nodes (must be > 0). See the file comment for the
 /// algorithm and memory contract. The result opens with OpenMmapGraph
-/// or ReadGraphBinaryFile. A weighted source (has_weights() == true)
-/// produces a format-v2 file: duplicate undirected edges collapse by
-/// summing weights, and because the weight section's file position
-/// depends on the FINAL post-dedup neighbor count, kept weights are
-/// staged sequentially in a `path + ".wtmp"` temp file during pass 2
-/// and spliced in after the last chunk (the temp file is removed on
-/// every exit path).
+/// or ReadGraphBinaryFile. The file is built beside `path` and renamed
+/// over it only when the build succeeds (io/replace_file.h): a failed
+/// build leaves any existing file at `path` as it was, and a reader
+/// that mapped the old file keeps its bytes. A weighted source
+/// (has_weights() == true) produces a format-v2 file: duplicate
+/// undirected edges collapse by summing weights, and because the weight
+/// section's file position depends on the FINAL post-dedup neighbor
+/// count, kept weights are staged sequentially in a ".wtmp" file beside
+/// the one being built during pass 2 and spliced in after the last
+/// chunk (the staging file is removed on every exit path).
 Result<StreamBuildStats> BuildGraphFileFromEdges(
     size_t num_nodes, EdgeSource& source, const std::string& path,
     const StreamBuildOptions& options = {});

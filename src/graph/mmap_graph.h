@@ -6,7 +6,7 @@
 // mapping; a shared keep-alive handle (Graph::is_mapped) holds the file
 // open until the last copy of the Graph is gone. Because the Graph API
 // is span-based end to end, every algorithm — k-core, OCA, the
-// recursive hierarchy, the SIMD CSR mat-vec — runs on a mapped graph
+// recursive hierarchy, the CSR mat-vec — runs on a mapped graph
 // unchanged and produces bit-identical results to the in-memory backend
 // (tests/graph/backend_equivalence_test.cc pins this, digest included).
 //

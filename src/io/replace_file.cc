@@ -40,23 +40,29 @@ Result<std::string> CreateSiblingTemp(const std::string& path) {
 
 }  // namespace
 
+Status ReplaceFile(
+    const std::string& path,
+    const std::function<Status(const std::string& tmp_path)>& write) {
+  OCA_ASSIGN_OR_RETURN(const std::string tmp, CreateSiblingTemp(path));
+  Status written = write(tmp);
+  if (written.ok() && std::rename(tmp.c_str(), path.c_str()) != 0) {
+    written = Status::IOError("cannot rename '" + tmp + "' to '" + path +
+                              "': " + std::strerror(errno));
+  }
+  if (!written.ok()) std::remove(tmp.c_str());
+  return written;
+}
+
 Status ReplaceFile(const std::string& path,
                    const std::function<Status(std::ostream&)>& write) {
-  OCA_ASSIGN_OR_RETURN(const std::string tmp, CreateSiblingTemp(path));
-  Status written = [&]() -> Status {
+  return ReplaceFile(path, [&write](const std::string& tmp) -> Status {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) return Status::IOError("cannot open '" + tmp + "' for writing");
     OCA_RETURN_IF_ERROR(write(out));
     out.close();
     if (!out) return Status::IOError("cannot finish writing '" + tmp + "'");
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-      return Status::IOError("cannot rename '" + tmp + "' to '" + path +
-                             "': " + std::strerror(errno));
-    }
     return Status::OK();
-  }();
-  if (!written.ok()) std::remove(tmp.c_str());
-  return written;
+  });
 }
 
 }  // namespace oca

@@ -1,101 +1,130 @@
 #include "spectral/csr_matvec.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-
-#include "spectral/csr_matvec_rows.h"
 
 namespace oca {
 
 namespace {
 
-/// Portable body: four independent accumulator chains over the striped
-/// lanes. The chains break the serial add-latency dependency the old
-/// single-accumulator loop was bound by (~4 cycles per edge on current
-/// cores) and give the compiler a layout it can auto-vectorize; the
-/// combine order matches the AVX2 kernel's horizontal sum exactly.
-struct PortableBody {
-  double operator()(const NodeId* nbr, uint64_t b, uint64_t body_end,
-                    const double* x) const {
-    double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-    for (uint64_t p = b; p < body_end; p += 4) {
-      a0 += x[nbr[p]];
-      a1 += x[nbr[p + 1]];
-      a2 += x[nbr[p + 2]];
-      a3 += x[nbr[p + 3]];
-    }
-    return (a0 + a2) + (a1 + a3);
+/// One edge's term of a row sum: x[nbr[p]], times w[p] on a weighted
+/// graph. The weighted term is a separate multiply then add in the
+/// caller; -ffp-contract=off (src/CMakeLists.txt) keeps the pair from
+/// fusing into an FMA.
+template <bool kWeighted>
+inline double Term(const NodeId* nbr, const double* w, uint64_t p,
+                   const double* x) {
+  if constexpr (kWeighted) {
+    return w[p] * x[nbr[p]];
+  } else {
+    return x[nbr[p]];
   }
-};
-
-/// Weighted portable body: the same four chains with each element
-/// scaled by its edge weight. Separate multiply then add per lane —
-/// -ffp-contract=off keeps it from fusing, preserving bit-identity
-/// with the AVX2 weighted kernel's mul_pd/add_pd sequence.
-struct PortableWeightedBody {
-  double operator()(const NodeId* nbr, const double* w, uint64_t b,
-                    uint64_t body_end, const double* x) const {
-    double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-    for (uint64_t p = b; p < body_end; p += 4) {
-      a0 += w[p] * x[nbr[p]];
-      a1 += w[p + 1] * x[nbr[p + 1]];
-      a2 += w[p + 2] * x[nbr[p + 2]];
-      a3 += w[p + 3] * x[nbr[p + 3]];
-    }
-    return (a0 + a2) + (a1 + a3);
-  }
-};
-
-bool CpuHasAvx2() {
-#if defined(OCA_HAVE_AVX2)
-  return __builtin_cpu_supports("avx2") != 0;
-#else
-  return false;
-#endif
 }
 
-/// Dispatch state: kUnresolved until first use, then either kAuto (the
-/// per-graph heuristic) or a forced CsrKernelKind value (>= 0). Relaxed
-/// atomics: every transition is to a state that produces bit-identical
-/// results, so a racing reader at worst runs one block on the previous
-/// kernel.
-constexpr int kKernelUnresolved = -2;
-constexpr int kKernelAuto = -1;
-
-int ResolveKernelFromEnv() {
-  if (const char* env = std::getenv("OCA_SIMD"); env != nullptr) {
-    if (std::strcmp(env, "avx2") == 0) {
-      return static_cast<int>(CpuHasAvx2() ? CsrKernelKind::kAvx2
-                                           : CsrKernelKind::kPortable);
+/// The row loop every single-vector product runs. Per row: four
+/// independent accumulator chains over the largest 4-multiple prefix
+/// (lane j adds the terms at b + 4t + j), combined as
+/// (a0 + a2) + (a1 + a3), then the remaining 0-3 terms added in order.
+/// The chains break the serial add-latency dependency a single
+/// accumulator is bound by and give the compiler a layout it can keep
+/// in registers. The fused variant also returns
+/// sum_{u in [begin, end)} y[u] * x[u], accumulated in row order.
+template <bool kWeighted, bool kFused>
+double RowLoop(const uint64_t* offs, const NodeId* nbr, const double* w,
+               size_t begin, size_t end, const double* x, double* y) {
+  double block_acc = 0.0;
+  for (size_t u = begin; u < end; ++u) {
+    const uint64_t b = offs[u];
+    const uint64_t e = offs[u + 1];
+    const uint64_t body_end = b + ((e - b) & ~uint64_t{3});
+    double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+    for (uint64_t p = b; p < body_end; p += 4) {
+      a0 += Term<kWeighted>(nbr, w, p, x);
+      a1 += Term<kWeighted>(nbr, w, p + 1, x);
+      a2 += Term<kWeighted>(nbr, w, p + 2, x);
+      a3 += Term<kWeighted>(nbr, w, p + 3, x);
     }
-    if (std::strcmp(env, "portable") == 0 || std::strcmp(env, "off") == 0) {
-      return static_cast<int>(CsrKernelKind::kPortable);
+    double sum = (a0 + a2) + (a1 + a3);
+    for (uint64_t p = body_end; p < e; ++p) {
+      sum += Term<kWeighted>(nbr, w, p, x);
     }
-    // "auto" (or anything unrecognized) falls through to the heuristic.
+    y[u] = sum;
+    if constexpr (kFused) block_acc += sum * x[u];
   }
-  // Auto dispatches per graph on mean row length (CsrKernelFor):
-  // measured on the community-graph row profile (mean degree ~20, x
-  // L1-resident), four independent scalar load chains sustain
-  // ~2 loads/cycle while vgatherdpd manages ~1 — 14.5us vs 18.4us on
-  // the 2000-node LFR mat-vec bench — so short rows stay portable and
-  // only wide rows (>= kAvx2MeanRowThreshold) take the AVX2 path.
-  // Results are bit-identical either way, so the choice never affects
-  // digests; OCA_SIMD / SetCsrKernel stay authoritative when set.
-  return kKernelAuto;
+  return block_acc;
 }
 
-std::atomic<int> g_kernel_state{kKernelUnresolved};
-
-int KernelState() {
-  int state = g_kernel_state.load(std::memory_order_relaxed);
-  if (state == kKernelUnresolved) {
-    state = ResolveKernelFromEnv();
-    g_kernel_state.store(state, std::memory_order_relaxed);
+/// Adds edge p's k-wide strip x[nbr[p] * k + j] (times w[p] on a
+/// weighted graph) into acc[0..k).
+template <bool kWeighted, size_t kWidth>
+inline void AddStrip(const NodeId* nbr, const double* w, uint64_t p,
+                     const double* x, double* acc) {
+  const double* xv = x + static_cast<size_t>(nbr[p]) * kWidth;
+  for (size_t j = 0; j < kWidth; ++j) {
+    if constexpr (kWeighted) {
+      acc[j] += w[p] * xv[j];
+    } else {
+      acc[j] += xv[j];
+    }
   }
-  return state;
+}
+
+/// Multi-vector (SpMM) row loop over k interleaved right-hand sides.
+/// Each column keeps RowLoop's four striped chains, its combine and its
+/// in-order tail, so column j of the result is bit-identical to a
+/// single-vector product on that column.
+template <bool kWeighted, size_t kWidth>
+void MultiRowLoop(const uint64_t* offs, const NodeId* nbr, const double* w,
+                  size_t begin, size_t end, const double* x, double* y) {
+  for (size_t u = begin; u < end; ++u) {
+    const uint64_t b = offs[u];
+    const uint64_t e = offs[u + 1];
+    const uint64_t body_end = b + ((e - b) & ~uint64_t{3});
+    double acc[4][kWidth] = {};
+    for (uint64_t p = b; p < body_end; p += 4) {
+      for (int lane = 0; lane < 4; ++lane) {
+        AddStrip<kWeighted, kWidth>(nbr, w, p + lane, x, acc[lane]);
+      }
+    }
+    double sums[kWidth];
+    for (size_t j = 0; j < kWidth; ++j) {
+      sums[j] = (acc[0][j] + acc[2][j]) + (acc[1][j] + acc[3][j]);
+    }
+    for (uint64_t p = body_end; p < e; ++p) {
+      AddStrip<kWeighted, kWidth>(nbr, w, p, x, sums);
+    }
+    double* yu = y + u * kWidth;
+    for (size_t j = 0; j < kWidth; ++j) yu[j] = sums[j];
+  }
+}
+
+/// MultiRowLoop at compile-time width k, 2 <= k <= kMaxMatVecBatch.
+template <bool kWeighted>
+void MultiRows(const uint64_t* offs, const NodeId* nbr, const double* w,
+               size_t begin, size_t end, const double* x, double* y,
+               size_t k) {
+  switch (k) {
+    case 2: return MultiRowLoop<kWeighted, 2>(offs, nbr, w, begin, end, x, y);
+    case 3: return MultiRowLoop<kWeighted, 3>(offs, nbr, w, begin, end, x, y);
+    case 4: return MultiRowLoop<kWeighted, 4>(offs, nbr, w, begin, end, x, y);
+    case 5: return MultiRowLoop<kWeighted, 5>(offs, nbr, w, begin, end, x, y);
+    case 6: return MultiRowLoop<kWeighted, 6>(offs, nbr, w, begin, end, x, y);
+    case 7: return MultiRowLoop<kWeighted, 7>(offs, nbr, w, begin, end, x, y);
+    default: return MultiRowLoop<kWeighted, 8>(offs, nbr, w, begin, end, x, y);
+  }
+}
+
+template <bool kFused>
+double Rows(const Graph& graph, size_t begin, size_t end, const double* x,
+            double* y) {
+  const uint64_t* offs = graph.offsets().data();
+  const NodeId* nbr = graph.neighbor_array().data();
+  if (graph.is_weighted()) {
+    return RowLoop<true, kFused>(offs, nbr, graph.weight_array().data(),
+                                 begin, end, x, y);
+  }
+  return RowLoop<false, kFused>(offs, nbr, nullptr, begin, end, x, y);
 }
 
 void CheckRowRange(const Graph& graph, size_t begin, size_t end,
@@ -116,16 +145,6 @@ void CheckRowRange(const Graph& graph, size_t begin, size_t end,
   }
 }
 
-void CheckMultiArgs(const Graph& graph, size_t begin, size_t end,
-                    const double* x, const double* y, size_t k) {
-  if (k < 1 || k > kMaxMatVecBatch) {
-    internal::KernelContractViolation(
-        "AdjacencyMatVecMultiRows: batch width k outside "
-        "[1, kMaxMatVecBatch]");
-  }
-  CheckRowRange(graph, begin, end, x, y);
-}
-
 }  // namespace
 
 namespace internal {
@@ -138,135 +157,38 @@ void KernelContractViolation(const char* what) {
 
 }  // namespace internal
 
-const char* CsrKernelName(CsrKernelKind kind) {
-  switch (kind) {
-    case CsrKernelKind::kAvx2:
-      return "avx2";
-    case CsrKernelKind::kPortable:
-      break;
-  }
-  return "portable";
-}
-
-bool CsrKernelAvailable(CsrKernelKind kind) {
-  return kind == CsrKernelKind::kPortable || CpuHasAvx2();
-}
-
-CsrKernelKind ActiveCsrKernel() {
-  const int state = KernelState();
-  // In auto mode, report the heuristic's short-row answer: the
-  // library's default workloads (community graphs) sit well below the
-  // AVX2 threshold.
-  return state >= 0 ? static_cast<CsrKernelKind>(state)
-                    : CsrKernelKind::kPortable;
-}
-
-bool CsrKernelIsAuto() { return KernelState() == kKernelAuto; }
-
-CsrKernelKind SetCsrKernel(CsrKernelKind kind) {
-  if (!CsrKernelAvailable(kind)) kind = CsrKernelKind::kPortable;
-  g_kernel_state.store(static_cast<int>(kind), std::memory_order_relaxed);
-  return kind;
-}
-
-void SetCsrKernelAuto() {
-  g_kernel_state.store(kKernelAuto, std::memory_order_relaxed);
-}
-
-CsrKernelKind CsrKernelForMeanDegree(double mean_row) {
-  if (mean_row >= kAvx2MeanRowThreshold && CpuHasAvx2()) {
-    return CsrKernelKind::kAvx2;
-  }
-  return CsrKernelKind::kPortable;
-}
-
-CsrKernelKind CsrKernelFor(const Graph& graph) {
-  const int state = KernelState();
-  if (state >= 0) return static_cast<CsrKernelKind>(state);
-  const size_t n = graph.num_nodes();
-  if (n == 0) return CsrKernelKind::kPortable;
-  return CsrKernelForMeanDegree(
-      static_cast<double>(graph.neighbor_array().size()) /
-      static_cast<double>(n));
-}
-
 void AdjacencyMatVecRows(const Graph& graph, size_t begin, size_t end,
                          const double* x, double* y) {
   CheckRowRange(graph, begin, end, x, y);
-  const uint64_t* offs = graph.offsets().data();
-  const NodeId* nbr = graph.neighbor_array().data();
-  if (graph.is_weighted()) {
-    const double* w = graph.weight_array().data();
-#if defined(OCA_HAVE_AVX2)
-    if (CsrKernelFor(graph) == CsrKernelKind::kAvx2) {
-      internal::Avx2WeightedRows(offs, nbr, w, begin, end, x, y);
-      return;
-    }
-#endif
-    internal::CsrRowLoopW<false>(offs, nbr, w, begin, end, x, y,
-                                 PortableWeightedBody{});
-    return;
-  }
-#if defined(OCA_HAVE_AVX2)
-  if (CsrKernelFor(graph) == CsrKernelKind::kAvx2) {
-    internal::Avx2Rows(offs, nbr, begin, end, x, y);
-    return;
-  }
-#endif
-  internal::CsrRowLoop<false>(offs, nbr, begin, end, x, y, PortableBody{});
+  Rows<false>(graph, begin, end, x, y);
 }
 
 double AdjacencyMatVecRowsFused(const Graph& graph, size_t begin, size_t end,
                                 const double* x, double* y) {
   CheckRowRange(graph, begin, end, x, y);
-  const uint64_t* offs = graph.offsets().data();
-  const NodeId* nbr = graph.neighbor_array().data();
-  if (graph.is_weighted()) {
-    const double* w = graph.weight_array().data();
-#if defined(OCA_HAVE_AVX2)
-    if (CsrKernelFor(graph) == CsrKernelKind::kAvx2) {
-      return internal::Avx2WeightedRowsFused(offs, nbr, w, begin, end, x, y);
-    }
-#endif
-    return internal::CsrRowLoopW<true>(offs, nbr, w, begin, end, x, y,
-                                       PortableWeightedBody{});
-  }
-#if defined(OCA_HAVE_AVX2)
-  if (CsrKernelFor(graph) == CsrKernelKind::kAvx2) {
-    return internal::Avx2RowsFused(offs, nbr, begin, end, x, y);
-  }
-#endif
-  return internal::CsrRowLoop<true>(offs, nbr, begin, end, x, y,
-                                    PortableBody{});
+  return Rows<true>(graph, begin, end, x, y);
 }
 
 void AdjacencyMatVecMultiRows(const Graph& graph, size_t begin, size_t end,
                               const double* x, double* y, size_t k) {
-  CheckMultiArgs(graph, begin, end, x, y, k);
-  if (k == 1) {  // identical layout; the single kernel is the fast path
-    AdjacencyMatVecRows(graph, begin, end, x, y);
+  if (k < 1 || k > kMaxMatVecBatch) {
+    internal::KernelContractViolation(
+        "AdjacencyMatVecMultiRows: batch width k outside "
+        "[1, kMaxMatVecBatch]");
+  }
+  CheckRowRange(graph, begin, end, x, y);
+  if (k == 1) {  // identical layout; the single-vector loop is the fast path
+    Rows<false>(graph, begin, end, x, y);
     return;
   }
   const uint64_t* offs = graph.offsets().data();
   const NodeId* nbr = graph.neighbor_array().data();
   if (graph.is_weighted()) {
-    const double* w = graph.weight_array().data();
-#if defined(OCA_HAVE_AVX2)
-    if (CsrKernelFor(graph) == CsrKernelKind::kAvx2) {
-      internal::Avx2WeightedMultiRows(offs, nbr, w, begin, end, x, y, k);
-      return;
-    }
-#endif
-    internal::PortableWeightedMultiRows(offs, nbr, w, begin, end, x, y, k);
+    MultiRows<true>(offs, nbr, graph.weight_array().data(), begin, end, x, y,
+                    k);
     return;
   }
-#if defined(OCA_HAVE_AVX2)
-  if (CsrKernelFor(graph) == CsrKernelKind::kAvx2) {
-    internal::Avx2MultiRows(offs, nbr, begin, end, x, y, k);
-    return;
-  }
-#endif
-  internal::PortableMultiRows(offs, nbr, begin, end, x, y, k);
+  MultiRows<false>(offs, nbr, nullptr, begin, end, x, y, k);
 }
 
 size_t MatVecBlockRows(size_t n) {

@@ -160,7 +160,7 @@ double SpectralEngine::MatVecFused(const Graph& graph, const double* x,
   // The single shared row kernel (fused variant): serial and pooled
   // execution run the same per-block calls, and the alpha partials are
   // combined in block order, so the result is bit-identical for every
-  // thread count and kernel variant.
+  // thread count.
   auto run_block = [&](size_t blk) {
     size_t begin = blk * block;
     partial_[blk] = AdjacencyMatVecRowsFused(

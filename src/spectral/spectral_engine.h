@@ -126,8 +126,8 @@ class SpectralEngine {
   /// pass (spectral/csr_matvec.h's fused row kernel — the same single
   /// kernel MatVec runs, so the two products cannot drift). The
   /// coefficient is reduced over fixed row blocks in block order
-  /// (MatVecBlockRows), so it is bit-identical across thread counts and
-  /// kernel variants. Same contract as MatVec. This is the engine's
+  /// (MatVecBlockRows), so it is bit-identical across thread counts.
+  /// Same contract as MatVec. This is the engine's
   /// Lanczos step; it is public so kernel-consistency tests and fused
   /// callers (e.g. Rayleigh-quotient loops) can use it directly.
   double MatVecFused(const Graph& graph, const double* x, double* y);

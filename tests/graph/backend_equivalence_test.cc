@@ -5,10 +5,10 @@
 // a ragged-degree adversarial graph mixing a full hub, chains, a
 // clique, and isolated nodes), the same bytes must come out of:
 //   * the raw CSR views (offsets + neighbors),
-//   * the SIMD CSR mat-vec, across both kernels (portable / AVX2),
+//   * the CSR mat-vec, plain and fused,
 //   * k-core peeling and induced-subgraph extraction,
 //   * full OCA covers, and
-//   * RecursiveHierarchy::Digest() across kernels x thread counts.
+//   * RecursiveHierarchy::Digest() across thread counts.
 // The backends share zero storage (one owns heap vectors, the other
 // aliases a read-only mmap), so agreement here is the proof that the
 // backend choice is a pure memory/IO trade with no observable effect.
@@ -97,32 +97,6 @@ std::vector<BackendPair> BackendMatrix() {
   return pairs;
 }
 
-/// Kernels to sweep: portable always, AVX2 when compiled in and the CPU
-/// has it (CI runs the suite under OCA_SIMD=avx2 separately as well).
-std::vector<CsrKernelKind> KernelMatrix() {
-  std::vector<CsrKernelKind> kernels = {CsrKernelKind::kPortable};
-  if (CsrKernelAvailable(CsrKernelKind::kAvx2)) {
-    kernels.push_back(CsrKernelKind::kAvx2);
-  }
-  return kernels;
-}
-
-class KernelRestorer {
- public:
-  KernelRestorer() : was_auto_(CsrKernelIsAuto()), saved_(ActiveCsrKernel()) {}
-  ~KernelRestorer() {
-    if (was_auto_) {
-      SetCsrKernelAuto();
-    } else {
-      SetCsrKernel(saved_);
-    }
-  }
-
- private:
-  bool was_auto_;
-  CsrKernelKind saved_;
-};
-
 TEST(BackendEquivalenceTest, CsrViewsAreIdentical) {
   for (const auto& pair : BackendMatrix()) {
     SCOPED_TRACE(pair.name);
@@ -144,33 +118,25 @@ TEST(BackendEquivalenceTest, CsrViewsAreIdentical) {
 }
 
 TEST(BackendEquivalenceTest, MatVecBitIdenticalAcrossKernels) {
-  KernelRestorer restore;
   for (const auto& pair : BackendMatrix()) {
+    SCOPED_TRACE(pair.name);
     const size_t n = pair.memory.num_nodes();
     Rng rng(99);
     std::vector<double> x(n);
     for (auto& xi : x) xi = rng.NextDouble() * 2.0 - 1.0;
-    for (CsrKernelKind kernel : KernelMatrix()) {
-      SCOPED_TRACE(pair.name + std::string("/") + CsrKernelName(kernel));
-      ASSERT_EQ(SetCsrKernel(kernel), kernel);
-      std::vector<double> y_mem(n, 0.0), y_map(n, 0.0);
-      AdjacencyMatVecRows(pair.memory, 0, n, x.data(), y_mem.data());
-      AdjacencyMatVecRows(pair.mapped, 0, n, x.data(), y_map.data());
-      EXPECT_EQ(0, std::memcmp(y_mem.data(), y_map.data(),
-                               n * sizeof(double)));
-      // Fused variant, partial row range: same block the Lanczos alpha
-      // step consumes.
-      std::vector<double> f_mem(n, 0.0), f_map(n, 0.0);
-      const double alpha_mem =
-          AdjacencyMatVecRowsFused(pair.memory, n / 3, n, x.data(),
-                                   f_mem.data());
-      const double alpha_map =
-          AdjacencyMatVecRowsFused(pair.mapped, n / 3, n, x.data(),
-                                   f_map.data());
-      EXPECT_EQ(alpha_mem, alpha_map);
-      EXPECT_EQ(0, std::memcmp(f_mem.data(), f_map.data(),
-                               n * sizeof(double)));
-    }
+    std::vector<double> y_mem(n, 0.0), y_map(n, 0.0);
+    AdjacencyMatVecRows(pair.memory, 0, n, x.data(), y_mem.data());
+    AdjacencyMatVecRows(pair.mapped, 0, n, x.data(), y_map.data());
+    EXPECT_EQ(0, std::memcmp(y_mem.data(), y_map.data(), n * sizeof(double)));
+    // Fused variant, partial row range: same block the Lanczos alpha
+    // step consumes.
+    std::vector<double> f_mem(n, 0.0), f_map(n, 0.0);
+    const double alpha_mem = AdjacencyMatVecRowsFused(pair.memory, n / 3, n,
+                                                      x.data(), f_mem.data());
+    const double alpha_map = AdjacencyMatVecRowsFused(pair.mapped, n / 3, n,
+                                                      x.data(), f_map.data());
+    EXPECT_EQ(alpha_mem, alpha_map);
+    EXPECT_EQ(0, std::memcmp(f_mem.data(), f_map.data(), n * sizeof(double)));
   }
 }
 
@@ -214,7 +180,6 @@ TEST(BackendEquivalenceTest, OcaCoversIdentical) {
 }
 
 TEST(BackendEquivalenceTest, HierarchyDigestAcrossKernelsAndThreads) {
-  KernelRestorer restore;
   NestedPartitionOptions gen;
   gen.num_supers = 4;
   gen.subs_per_super = 3;
@@ -232,23 +197,17 @@ TEST(BackendEquivalenceTest, HierarchyDigestAcrossKernelsAndThreads) {
   options.base.halting.target_coverage = 0.97;
   options.base.halting.stagnation_window = 120;
 
-  ASSERT_EQ(SetCsrKernel(CsrKernelKind::kPortable), CsrKernelKind::kPortable);
   options.num_threads = 0;
   const uint64_t reference =
       BuildRecursiveHierarchy(memory, options).value().Digest();
 
-  for (CsrKernelKind kernel : KernelMatrix()) {
-    ASSERT_EQ(SetCsrKernel(kernel), kernel);
-    for (size_t threads : {size_t{1}, size_t{4}}) {
-      SCOPED_TRACE(std::string(CsrKernelName(kernel)) + "/threads=" +
-                   std::to_string(threads));
-      options.num_threads = threads;
-      auto mem_tree = BuildRecursiveHierarchy(memory, options).value();
-      auto map_tree = BuildRecursiveHierarchy(mapped, options).value();
-      EXPECT_EQ(mem_tree.Digest(), reference);
-      EXPECT_EQ(map_tree.Digest(), reference)
-          << "mmap backend digest diverged";
-    }
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    options.num_threads = threads;
+    auto mem_tree = BuildRecursiveHierarchy(memory, options).value();
+    auto map_tree = BuildRecursiveHierarchy(mapped, options).value();
+    EXPECT_EQ(mem_tree.Digest(), reference);
+    EXPECT_EQ(map_tree.Digest(), reference) << "mmap backend digest diverged";
   }
 }
 
@@ -295,37 +254,23 @@ TEST(BackendEquivalenceTest, WeightedCsrViewsAreIdentical) {
 }
 
 TEST(BackendEquivalenceTest, WeightedMatVecBitIdenticalAcrossKernels) {
-  KernelRestorer restore;
   for (const auto& pair : WeightedBackendMatrix()) {
+    SCOPED_TRACE(pair.name);
     const size_t n = pair.memory.num_nodes();
     Rng rng(99);
     std::vector<double> x(n);
     for (auto& xi : x) xi = rng.NextDouble() * 2.0 - 1.0;
-    // The portable kernel on the in-memory backend is the reference;
-    // every kernel x backend combination must reproduce its bits (the
-    // weighted bodies keep the same fixed combine order).
-    ASSERT_EQ(SetCsrKernel(CsrKernelKind::kPortable),
-              CsrKernelKind::kPortable);
-    std::vector<double> reference(n, 0.0);
-    AdjacencyMatVecRows(pair.memory, 0, n, x.data(), reference.data());
-    for (CsrKernelKind kernel : KernelMatrix()) {
-      SCOPED_TRACE(pair.name + std::string("/") + CsrKernelName(kernel));
-      ASSERT_EQ(SetCsrKernel(kernel), kernel);
-      for (const Graph* g : {&pair.memory, &pair.mapped}) {
-        std::vector<double> y(n, 0.0);
-        AdjacencyMatVecRows(*g, 0, n, x.data(), y.data());
-        EXPECT_EQ(0, std::memcmp(reference.data(), y.data(),
-                                 n * sizeof(double)));
-      }
-      std::vector<double> f_mem(n, 0.0), f_map(n, 0.0);
-      const double alpha_mem = AdjacencyMatVecRowsFused(
-          pair.memory, n / 3, n, x.data(), f_mem.data());
-      const double alpha_map = AdjacencyMatVecRowsFused(
-          pair.mapped, n / 3, n, x.data(), f_map.data());
-      EXPECT_EQ(alpha_mem, alpha_map);
-      EXPECT_EQ(0, std::memcmp(f_mem.data(), f_map.data(),
-                               n * sizeof(double)));
-    }
+    std::vector<double> y_mem(n, 0.0), y_map(n, 0.0);
+    AdjacencyMatVecRows(pair.memory, 0, n, x.data(), y_mem.data());
+    AdjacencyMatVecRows(pair.mapped, 0, n, x.data(), y_map.data());
+    EXPECT_EQ(0, std::memcmp(y_mem.data(), y_map.data(), n * sizeof(double)));
+    std::vector<double> f_mem(n, 0.0), f_map(n, 0.0);
+    const double alpha_mem = AdjacencyMatVecRowsFused(pair.memory, n / 3, n,
+                                                      x.data(), f_mem.data());
+    const double alpha_map = AdjacencyMatVecRowsFused(pair.mapped, n / 3, n,
+                                                      x.data(), f_map.data());
+    EXPECT_EQ(alpha_mem, alpha_map);
+    EXPECT_EQ(0, std::memcmp(f_mem.data(), f_map.data(), n * sizeof(double)));
   }
 }
 
@@ -348,7 +293,6 @@ TEST(BackendEquivalenceTest, WeightedOcaCoversIdentical) {
 }
 
 TEST(BackendEquivalenceTest, WeightedHierarchyDigestAcrossKernelsAndThreads) {
-  KernelRestorer restore;
   NestedPartitionOptions gen;
   gen.num_supers = 4;
   gen.subs_per_super = 3;
@@ -368,23 +312,18 @@ TEST(BackendEquivalenceTest, WeightedHierarchyDigestAcrossKernelsAndThreads) {
   options.base.halting.stagnation_window = 120;
   options.base.search.fitness.use_weights = true;
 
-  ASSERT_EQ(SetCsrKernel(CsrKernelKind::kPortable), CsrKernelKind::kPortable);
   options.num_threads = 0;
   const uint64_t reference =
       BuildRecursiveHierarchy(memory, options).value().Digest();
 
-  for (CsrKernelKind kernel : KernelMatrix()) {
-    ASSERT_EQ(SetCsrKernel(kernel), kernel);
-    for (size_t threads : {size_t{1}, size_t{4}}) {
-      SCOPED_TRACE(std::string(CsrKernelName(kernel)) + "/threads=" +
-                   std::to_string(threads));
-      options.num_threads = threads;
-      auto mem_tree = BuildRecursiveHierarchy(memory, options).value();
-      auto map_tree = BuildRecursiveHierarchy(mapped, options).value();
-      EXPECT_EQ(mem_tree.Digest(), reference);
-      EXPECT_EQ(map_tree.Digest(), reference)
-          << "weighted mmap backend digest diverged";
-    }
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    options.num_threads = threads;
+    auto mem_tree = BuildRecursiveHierarchy(memory, options).value();
+    auto map_tree = BuildRecursiveHierarchy(mapped, options).value();
+    EXPECT_EQ(mem_tree.Digest(), reference);
+    EXPECT_EQ(map_tree.Digest(), reference)
+        << "weighted mmap backend digest diverged";
   }
 }
 

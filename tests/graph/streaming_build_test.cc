@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -146,11 +147,31 @@ TEST(StreamingBuildTest, BuilderBuildToFileMatchesBuild) {
 
 TEST(StreamingBuildTest, RejectsOutOfRangeEndpointsAndZeroNodes) {
   const std::vector<Edge> edges = {{0, 1}, {1, 9}};
-  {
-    VectorEdgeSource source(edges);
-    auto stats = BuildGraphFileFromEdges(5, source, TempPath("oob.ocag"));
+  // A rejected build leaves the graph already at its path intact, from
+  // the unweighted and the weighted builder alike.
+  const std::vector<Edge> old_edges = {{0, 1}, {0, 3}, {1, 2}};
+  for (bool weighted : {false, true}) {
+    SCOPED_TRACE(weighted ? "weighted" : "unweighted");
+    const std::string path = TempPath(weighted ? "oob_w.ocag" : "oob.ocag");
+    auto build = [&](size_t n, const std::vector<Edge>& e) {
+      const std::vector<double> w(e.size(), 1.5);
+      VectorEdgeSource plain(e);
+      VectorWeightedEdgeSource with_weights(e, w);
+      return BuildGraphFileFromEdges(
+          n, weighted ? static_cast<EdgeSource&>(with_weights) : plain, path);
+    };
+    ASSERT_TRUE(build(4, old_edges).ok());
+    const std::vector<char> old_bytes = FileBytes(path);
+
+    auto stats = build(5, edges);
     ASSERT_FALSE(stats.ok());
     EXPECT_EQ(stats.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(FileBytes(path), old_bytes);
+    auto reopened = OpenMmapGraph(path);
+    EXPECT_TRUE(reopened.ok()) << reopened.status().ToString();
+    if (!reopened.ok()) continue;
+    EXPECT_EQ(reopened->Edges(), old_edges);
+    EXPECT_EQ(reopened->is_weighted(), weighted);
   }
   {
     VectorEdgeSource source(edges);
@@ -166,6 +187,28 @@ TEST(StreamingBuildTest, RejectsOutOfRangeEndpointsAndZeroNodes) {
     ASSERT_FALSE(stats.ok());
     EXPECT_EQ(stats.status().code(), StatusCode::kIOError);
   }
+}
+
+TEST(StreamingBuildTest, RebuildKeepsMappedReadersIntact) {
+  // Rebuilding a path another Graph has mapped must not rewrite the
+  // bytes under that mapping: the mapped copy keeps the old graph, and a
+  // fresh open sees the new one.
+  const std::string path = TempPath("rebuild_mapped.ocag");
+  const std::vector<Edge> old_edges = {{0, 1}, {0, 3}, {1, 2}};
+  const std::vector<Edge> new_edges = {{0, 2}, {1, 3}};
+  VectorEdgeSource old_source(old_edges);
+  ASSERT_TRUE(BuildGraphFileFromEdges(4, old_source, path).ok());
+  Graph mapped = OpenMmapGraph(path).value();
+  ASSERT_TRUE(mapped.is_mapped());
+
+  VectorEdgeSource new_source(new_edges);
+  ASSERT_TRUE(BuildGraphFileFromEdges(4, new_source, path).ok());
+  EXPECT_EQ(mapped.Edges(), old_edges);
+  ASSERT_EQ(mapped.Neighbors(0).size(), 2u);
+  EXPECT_EQ(mapped.Neighbors(0)[0], 1u);
+  EXPECT_EQ(mapped.Neighbors(0)[1], 3u);
+  EXPECT_EQ(OpenMmapGraph(path).value().Edges(), new_edges);
+  std::remove(path.c_str());
 }
 
 }  // namespace

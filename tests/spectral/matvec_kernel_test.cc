@@ -1,11 +1,11 @@
-// The CSR mat-vec kernel contract (spectral/csr_matvec.h): one shared
-// row kernel behind every adjacency product, with every variant —
-// portable / AVX2, plain / fused, serial / blocked-parallel —
-// producing BIT-IDENTICAL results, so switching kernels can never move
-// a digest. Plus the cache-aware reordering pass: a reordered graph is
-// the same graph (structure preserved, results mappable to original
-// ids, converged c in agreement), and its builds are digest-invariant
-// across kernels and thread counts.
+// The CSR mat-vec kernel contract (spectral/csr_matvec.h): one row
+// kernel behind every adjacency product, with a fixed, documented
+// operation order, so plain / fused / multi-vector and serial /
+// blocked-parallel products are BIT-IDENTICAL and no digest can depend
+// on how a product was run. Plus the cache-aware reordering pass: a
+// reordered graph is the same graph (structure preserved, results
+// mappable to original ids, converged c in agreement), and its builds
+// are digest-invariant across thread counts.
 
 #include <gtest/gtest.h>
 
@@ -17,46 +17,16 @@
 #include "core/recursive_hierarchy.h"
 #include "gen/erdos_renyi.h"
 #include "gen/nested_partition.h"
+#include "gen/weight_assign.h"
 #include "graph/graph_builder.h"
 #include "metrics/omega_index.h"
 #include "spectral/csr_matvec.h"
+#include "spectral/power_method.h"
 #include "spectral/spectral_engine.h"
 #include "util/random.h"
 
 namespace oca {
 namespace {
-
-/// Scoped kernel override; restores the previous dispatch state —
-/// including per-graph auto mode — so a test cannot leak its choice
-/// into later tests in the same process.
-class KernelGuard {
- public:
-  explicit KernelGuard(CsrKernelKind kind)
-      : was_auto_(CsrKernelIsAuto()), prev_(ActiveCsrKernel()) {
-    active_ = SetCsrKernel(kind);
-  }
-  ~KernelGuard() {
-    if (was_auto_) {
-      SetCsrKernelAuto();
-    } else {
-      SetCsrKernel(prev_);
-    }
-  }
-  CsrKernelKind active() const { return active_; }
-
- private:
-  bool was_auto_;
-  CsrKernelKind prev_;
-  CsrKernelKind active_;
-};
-
-std::vector<CsrKernelKind> AvailableKernels() {
-  std::vector<CsrKernelKind> kinds = {CsrKernelKind::kPortable};
-  if (CsrKernelAvailable(CsrKernelKind::kAvx2)) {
-    kinds.push_back(CsrKernelKind::kAvx2);
-  }
-  return kinds;
-}
 
 std::vector<double> RandomVector(size_t n, uint64_t seed) {
   Rng rng(seed);
@@ -71,64 +41,54 @@ bool BitIdentical(const std::vector<double>& a, const std::vector<double>& b) {
           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
-TEST(CsrKernelTest, NamesAndAvailability) {
-  EXPECT_STREQ(CsrKernelName(CsrKernelKind::kPortable), "portable");
-  EXPECT_STREQ(CsrKernelName(CsrKernelKind::kAvx2), "avx2");
-  EXPECT_TRUE(CsrKernelAvailable(CsrKernelKind::kPortable));
-  // Requesting an unavailable kernel falls back to portable.
-  const bool was_auto = CsrKernelIsAuto();
-  CsrKernelKind prev = ActiveCsrKernel();
-  CsrKernelKind got = SetCsrKernel(CsrKernelKind::kAvx2);
-  if (!CsrKernelAvailable(CsrKernelKind::kAvx2)) {
-    EXPECT_EQ(got, CsrKernelKind::kPortable);
-  } else {
-    EXPECT_EQ(got, CsrKernelKind::kAvx2);
-  }
-  if (was_auto) {
-    SetCsrKernelAuto();
-  } else {
-    SetCsrKernel(prev);
-  }
+bool BitIdentical(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
-// Every kernel variant, on random graphs and random vectors, produces
-// the same bits — the property that lets runtime dispatch coexist with
-// the deterministic-parallel contract.
+// Fused and plain products run the one row loop: identical products,
+// and the fused alpha is y'x accumulated in row order.
 TEST(CsrKernelTest, VariantsAreBitIdenticalOnRandomGraphs) {
   for (uint64_t seed : {1u, 2u, 3u, 4u}) {
     Rng rng(seed);
     Graph g = ErdosRenyi(400 + 100 * seed, 0.03, &rng).value();
     std::vector<double> x = RandomVector(g.num_nodes(), seed ^ 0xABCDu);
 
-    KernelGuard base(CsrKernelKind::kPortable);
-    std::vector<double> y_ref(g.num_nodes());
-    AdjacencyMatVecRows(g, 0, g.num_nodes(), x.data(), y_ref.data());
-    std::vector<double> yf_ref(g.num_nodes());
-    double alpha_ref = AdjacencyMatVecRowsFused(g, 0, g.num_nodes(),
-                                                x.data(), yf_ref.data());
-    // Fused and plain run the one shared row loop: identical products.
-    EXPECT_TRUE(BitIdentical(y_ref, yf_ref)) << "seed " << seed;
-
-    for (CsrKernelKind kind : AvailableKernels()) {
-      KernelGuard guard(kind);
-      ASSERT_EQ(guard.active(), kind);
-      std::vector<double> y(g.num_nodes());
-      AdjacencyMatVecRows(g, 0, g.num_nodes(), x.data(), y.data());
-      EXPECT_TRUE(BitIdentical(y, y_ref))
-          << "kernel " << CsrKernelName(kind) << " seed " << seed;
-      std::vector<double> yf(g.num_nodes());
-      double alpha =
-          AdjacencyMatVecRowsFused(g, 0, g.num_nodes(), x.data(), yf.data());
-      EXPECT_TRUE(BitIdentical(yf, y_ref))
-          << "kernel " << CsrKernelName(kind) << " seed " << seed;
-      EXPECT_EQ(alpha, alpha_ref)
-          << "kernel " << CsrKernelName(kind) << " seed " << seed;
-    }
+    std::vector<double> y(g.num_nodes());
+    AdjacencyMatVecRows(g, 0, g.num_nodes(), x.data(), y.data());
+    std::vector<double> yf(g.num_nodes());
+    const double alpha =
+        AdjacencyMatVecRowsFused(g, 0, g.num_nodes(), x.data(), yf.data());
+    EXPECT_TRUE(BitIdentical(y, yf)) << "seed " << seed;
+    double expected = 0.0;
+    for (size_t u = 0; u < g.num_nodes(); ++u) expected += y[u] * x[u];
+    EXPECT_TRUE(BitIdentical(alpha, expected)) << "seed " << seed;
   }
 }
 
-// The degree tail (rows shorter than the 4-wide SIMD body, and every
-// remainder class) must agree with a naive reference.
+/// Row u of column j of A x, where x holds k interleaved columns
+/// (column j of node v at x[v * k + j]), computed in the documented
+/// operation order: four striped partial sums over the largest
+/// 4-multiple prefix of the row (lane i % 4 adds term i), combined as
+/// (a0 + a2) + (a1 + a3), then the remaining 0-3 terms in order. A
+/// weighted term is w * x, multiplied before it is added.
+double ReferenceRow(const Graph& g, NodeId u, const double* x, size_t k,
+                    size_t j) {
+  const auto nbrs = g.Neighbors(u);
+  auto term = [&](size_t i) {
+    const double xv = x[static_cast<size_t>(nbrs[i]) * k + j];
+    return g.is_weighted() ? g.Weights(u)[i] * xv : xv;
+  };
+  const size_t body = nbrs.size() & ~size_t{3};
+  double lane[4] = {0.0, 0.0, 0.0, 0.0};
+  for (size_t i = 0; i < body; ++i) lane[i % 4] += term(i);
+  double sum = (lane[0] + lane[2]) + (lane[1] + lane[3]);
+  for (size_t i = body; i < nbrs.size(); ++i) sum += term(i);
+  return sum;
+}
+
+// Pins the kernel's operation order bit for bit on every body/tail
+// split: rows of degree 0 through 9, unweighted and weighted, through
+// the plain, fused and multi-vector entry points.
 TEST(CsrKernelTest, ShortAndRaggedRowsMatchNaiveReference) {
   // Stars of size 0..9 packed into one graph: degrees 0 through 9 plus
   // one hub per star, hitting every body/tail split.
@@ -143,20 +103,43 @@ TEST(CsrKernelTest, ShortAndRaggedRowsMatchNaiveReference) {
       builder.AddEdge(hub, leaf);
     }
   }
-  Graph g = builder.Build().value();
-  std::vector<double> x = RandomVector(g.num_nodes(), 99);
+  const Graph unweighted = builder.Build().value();
+  const Graph weighted = AssignWeights(unweighted, {}).value();
+  ASSERT_TRUE(weighted.is_weighted());
+  const size_t n = unweighted.num_nodes();
 
-  std::vector<double> naive(g.num_nodes(), 0.0);
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    for (NodeId v : g.Neighbors(u)) naive[u] += x[v];
-  }
-  for (CsrKernelKind kind : AvailableKernels()) {
-    KernelGuard guard(kind);
-    std::vector<double> y(g.num_nodes());
-    AdjacencyMatVecRows(g, 0, g.num_nodes(), x.data(), y.data());
-    for (size_t u = 0; u < g.num_nodes(); ++u) {
-      EXPECT_NEAR(y[u], naive[u], 1e-12)
-          << "kernel " << CsrKernelName(kind) << " row " << u;
+  for (const Graph* g : {&unweighted, &weighted}) {
+    SCOPED_TRACE(g->is_weighted() ? "weighted" : "unweighted");
+    const std::vector<double> x = RandomVector(n, 99);
+    std::vector<double> want(n);
+    double want_alpha = 0.0;
+    for (NodeId u = 0; u < n; ++u) {
+      want[u] = ReferenceRow(*g, u, x.data(), 1, 0);
+      want_alpha += want[u] * x[u];
+    }
+
+    std::vector<double> y(n);
+    AdjacencyMatVecRows(*g, 0, n, x.data(), y.data());
+    EXPECT_TRUE(BitIdentical(y, want)) << "AdjacencyMatVecRows";
+    std::vector<double> yf(n);
+    const double alpha = AdjacencyMatVecRowsFused(*g, 0, n, x.data(),
+                                                  yf.data());
+    EXPECT_TRUE(BitIdentical(yf, want)) << "AdjacencyMatVecRowsFused";
+    EXPECT_TRUE(BitIdentical(alpha, want_alpha))
+        << "fused alpha " << alpha << " vs " << want_alpha;
+
+    for (size_t k : {size_t{2}, size_t{4}, size_t{8}}) {
+      const std::vector<double> xk = RandomVector(n * k, 100 + k);
+      std::vector<double> yk;
+      AdjacencyMatVecMulti(*g, xk, &yk, k);
+      ASSERT_EQ(yk.size(), n * k);
+      std::vector<double> wantk(n * k);
+      for (NodeId u = 0; u < n; ++u) {
+        for (size_t j = 0; j < k; ++j) {
+          wantk[u * k + j] = ReferenceRow(*g, u, xk.data(), k, j);
+        }
+      }
+      EXPECT_TRUE(BitIdentical(yk, wantk)) << "AdjacencyMatVecMulti k " << k;
     }
   }
 }
@@ -164,50 +147,43 @@ TEST(CsrKernelTest, ShortAndRaggedRowsMatchNaiveReference) {
 // Regression pin for the deduplicated row loop: the engine's MatVec and
 // its fused Lanczos step (MatVecFused, the former inline clone) produce
 // bit-identical products, and the fused alpha equals the fixed-block
-// reduction of y'x — on random graphs, across kernels, serial and
-// pooled.
+// reduction of y'x — on random graphs, serial and pooled.
 TEST(CsrKernelTest, EngineFusedAndPlainProductsAreBitIdentical) {
   for (uint64_t seed : {11u, 12u, 13u}) {
     Rng rng(seed);
     Graph g = ErdosRenyi(600, 0.02, &rng).value();
     std::vector<double> x = RandomVector(g.num_nodes(), seed);
-    for (CsrKernelKind kind : AvailableKernels()) {
-      KernelGuard guard(kind);
-      SpectralEngineOptions serial_opt;
-      SpectralEngine engine(serial_opt);
-      std::vector<double> y_plain(g.num_nodes());
-      engine.MatVec(g, x.data(), y_plain.data());
-      std::vector<double> y_fused(g.num_nodes());
-      double alpha = engine.MatVecFused(g, x.data(), y_fused.data());
-      EXPECT_TRUE(BitIdentical(y_plain, y_fused))
-          << "kernel " << CsrKernelName(kind) << " seed " << seed;
+    SpectralEngineOptions serial_opt;
+    SpectralEngine engine(serial_opt);
+    std::vector<double> y_plain(g.num_nodes());
+    engine.MatVec(g, x.data(), y_plain.data());
+    std::vector<double> y_fused(g.num_nodes());
+    double alpha = engine.MatVecFused(g, x.data(), y_fused.data());
+    EXPECT_TRUE(BitIdentical(y_plain, y_fused)) << "seed " << seed;
 
-      // Expected alpha: partials per MatVecBlockRows block, combined in
-      // block order — the documented deterministic reduction.
-      const size_t n = g.num_nodes();
-      const size_t block = MatVecBlockRows(n);
-      double expected = 0.0;
-      for (size_t begin = 0; begin < n; begin += block) {
-        double acc = 0.0;
-        for (size_t u = begin; u < std::min(n, begin + block); ++u) {
-          acc += y_plain[u] * x[u];
-        }
-        expected += acc;
+    // Expected alpha: partials per MatVecBlockRows block, combined in
+    // block order — the documented deterministic reduction.
+    const size_t n = g.num_nodes();
+    const size_t block = MatVecBlockRows(n);
+    double expected = 0.0;
+    for (size_t begin = 0; begin < n; begin += block) {
+      double acc = 0.0;
+      for (size_t u = begin; u < std::min(n, begin + block); ++u) {
+        acc += y_plain[u] * x[u];
       }
-      EXPECT_EQ(alpha, expected)
-          << "kernel " << CsrKernelName(kind) << " seed " << seed;
-
-      // Pooled engine (forced parallel): same bits.
-      SpectralEngineOptions pooled_opt;
-      pooled_opt.num_threads = 4;
-      pooled_opt.parallel_min_edges = 0;
-      SpectralEngine pooled(pooled_opt);
-      std::vector<double> y_par(g.num_nodes());
-      double alpha_par = pooled.MatVecFused(g, x.data(), y_par.data());
-      EXPECT_TRUE(BitIdentical(y_par, y_plain))
-          << "kernel " << CsrKernelName(kind) << " seed " << seed;
-      EXPECT_EQ(alpha_par, alpha);
+      expected += acc;
     }
+    EXPECT_EQ(alpha, expected) << "seed " << seed;
+
+    // Pooled engine (forced parallel): same bits.
+    SpectralEngineOptions pooled_opt;
+    pooled_opt.num_threads = 4;
+    pooled_opt.parallel_min_edges = 0;
+    SpectralEngine pooled(pooled_opt);
+    std::vector<double> y_par(g.num_nodes());
+    double alpha_par = pooled.MatVecFused(g, x.data(), y_par.data());
+    EXPECT_TRUE(BitIdentical(y_par, y_plain)) << "seed " << seed;
+    EXPECT_EQ(alpha_par, alpha);
   }
 }
 
@@ -260,7 +236,7 @@ RecursiveHierarchyOptions TreeOptions(uint64_t seed, size_t threads) {
 
 // The headline determinism pin: for a FIXED graph representation
 // (original or reordered), the recursive-hierarchy digest is one value
-// across every kernel variant and thread count.
+// across thread counts.
 TEST(CsrKernelTest, TreeDigestInvariantAcrossKernelsAndThreads) {
   for (bool reordered : {false, true}) {
     Graph g = NestedGraph(21);
@@ -270,22 +246,17 @@ TEST(CsrKernelTest, TreeDigestInvariantAcrossKernelsAndThreads) {
     }
     uint64_t reference_digest = 0;
     bool have_reference = false;
-    for (CsrKernelKind kind : AvailableKernels()) {
-      KernelGuard guard(kind);
-      for (size_t threads : {size_t{0}, size_t{2}}) {
-        auto tree =
-            BuildRecursiveHierarchy(g, TreeOptions(21, threads)).value();
-        tree.MapToOriginalIds(g);
-        if (!have_reference) {
-          reference_digest = tree.Digest();
-          have_reference = true;
-          ASSERT_GT(tree.nodes.size(), tree.roots.size())
-              << "workload must genuinely recurse";
-        } else {
-          EXPECT_EQ(tree.Digest(), reference_digest)
-              << "kernel " << CsrKernelName(kind) << " threads " << threads
-              << " reordered " << reordered;
-        }
+    for (size_t threads : {size_t{0}, size_t{2}}) {
+      auto tree = BuildRecursiveHierarchy(g, TreeOptions(21, threads)).value();
+      tree.MapToOriginalIds(g);
+      if (!have_reference) {
+        reference_digest = tree.Digest();
+        have_reference = true;
+        ASSERT_GT(tree.nodes.size(), tree.roots.size())
+            << "workload must genuinely recurse";
+      } else {
+        EXPECT_EQ(tree.Digest(), reference_digest)
+            << "threads " << threads << " reordered " << reordered;
       }
     }
   }
