@@ -366,11 +366,15 @@ void BM_MatVecWeighted(benchmark::State& state) {
 BENCHMARK(BM_MatVecWeighted)->Arg(0)->Arg(1);
 
 // Local search on the 960-node nested graph, one climb per node, all
-// through the one bucket-queue climber. Arg: 0 = unweighted graph, keys
-// are exact deg-ins; 1 = all-1.0 weights with use_weights (the same
-// climbs, by the equivalence invariant); 2 = hash weights (genuinely
-// weighted search). Rows 1 and 2 price the weighted key: the quantized
-// weighted deg-in with an exact rescan of the extreme bucket.
+// through the one bucket-queue climber, seeded as RunOca seeds it: the
+// node plus every other neighbour (a lone node never grows at this c).
+// These are the dense, removal-heavy climbs of the tree workloads: one
+// pass runs 88,819 steps unweighted (42% removals) and 97,464 with hash
+// weights (38%). Arg: 0 = unweighted graph, keys are exact deg-ins; 1 = all-1.0
+// weights with use_weights (the same climbs, by the equivalence
+// invariant); 2 = hash weights (genuinely weighted search). Rows 1 and 2
+// price the weighted key: the quantized weighted deg-in with an exact
+// rescan of the extreme bucket.
 void BM_LocalSearchWeighted(benchmark::State& state) {
   const oca::Graph& base = NestedBenchGraph();
   static const oca::Graph* unit = [] {
@@ -384,13 +388,23 @@ void BM_LocalSearchWeighted(benchmark::State& state) {
   const oca::Graph& g = state.range(0) == 0   ? base
                         : state.range(0) == 1 ? *unit
                                               : *hashed;
+  static const std::vector<oca::Community> seeds = [] {
+    const oca::Graph& nested = NestedBenchGraph();
+    std::vector<oca::Community> sets(nested.num_nodes());
+    for (oca::NodeId v = 0; v < nested.num_nodes(); ++v) {
+      sets[v].push_back(v);
+      auto nbrs = nested.Neighbors(v);
+      for (size_t i = 0; i < nbrs.size(); i += 2) sets[v].push_back(nbrs[i]);
+    }
+    return sets;
+  }();
   static const double c = oca::ComputeCouplingConstant(base).value();
   oca::LocalSearchOptions opt;
   opt.fitness.c = c;
   opt.fitness.use_weights = state.range(0) != 0;
   for (auto _ : state) {
-    for (oca::NodeId v = 0; v < g.num_nodes(); ++v) {
-      auto result = oca::GreedyLocalSearch(g, {v}, opt);
+    for (const oca::Community& seed : seeds) {
+      auto result = oca::GreedyLocalSearch(g, seed, opt);
       benchmark::DoNotOptimize(result);
     }
   }

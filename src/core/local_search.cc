@@ -30,10 +30,27 @@ constexpr NodeId kNoNode = UINT32_MAX;
 // One climber body serves both graph kinds; only the key differs. On an
 // unweighted graph it is the exact deg-in. With use_weights on a
 // weighted graph the gain is linear in the weighted deg-in instead, a
-// double, so each node is filed under floor(w_deg_in * inv_quantum), one
-// of kWeightBuckets levels. That map is monotone, so the true extreme
-// lies in the extreme non-empty bucket and an exact rescan of that one
-// bucket recovers it.
+// double, so each node is filed under floor(w_deg_in / w_max), w_max
+// being the graph's largest edge weight. That map is monotone, so the
+// true extreme lies in the extreme non-empty bucket and an exact rescan
+// of that one bucket recovers it, whatever the scale. This scale makes a
+// neighbour update, which moves a weighted deg-in by one edge weight,
+// move its key by at most one level (rounding aside), as it moves an
+// exact deg-in by exactly one.
+//
+// The queues are flat (Batagelj & Zaversnik's bucket array,
+// arXiv:cs/0310049). Each node has one record: its deg-in (and on
+// weighted climbs its weighted deg-in) and its index in a single array
+// that holds both queues, the members first, then the frontier, each
+// sorted by key in descending order. The
+// members' smallest key and the frontier's largest meet in the middle,
+// so both extreme buckets are contiguous spans there. Each queue keeps
+// where each of its buckets starts, so moving a node one key level swaps
+// it with the boundary node of its bucket and shifts that boundary. A
+// node joining S swaps to the middle, which then shifts past it, and it
+// climbs from the members' smallest key to its own; a node leaving S
+// makes the mirror move. A climb touches only the nodes it reaches and
+// the keys they take, never the whole graph.
 //
 // Every climber keeps one tie rule: among equal-best moves the smallest
 // node id wins, and an add beats a removal of equal gain. The rule reads
@@ -63,186 +80,301 @@ bool DegInRanked(const FitnessParams& params) {
          params.kind == FitnessKind::kRawPhi;
 }
 
-/// Bucket queue over nodes keyed by small non-negative integers (a
-/// deg-in, or a quantized weighted deg-in). Flat-array storage reused
-/// across climbs via Reset, so the hot path does no hashing and no
-/// allocation once warm. The bucket array grows on demand to the largest
-/// key ever inserted, so preparing a climb never scans the graph for its
-/// maximum degree. O(1) insert/erase/re-key; amortized O(1) access to the
-/// extreme buckets via moving hints. The order inside a bucket is erase
-/// history, so callers choose within a bucket by node id, not position.
-class BucketQueue {
+/// Queue index of a node in neither queue.
+constexpr uint32_t kUnqueued = UINT32_MAX;
+
+/// One node's climb state, packed so that a neighbour update reads one
+/// record: its deg-in, its index in the queue array, which also tells the
+/// queue (members fill the front of the array), and on weighted climbs
+/// its weighted deg-in.
+template <bool kWeighted>
+struct NodeRecord {
+  uint32_t deg_in = 0;
+  uint32_t pos = kUnqueued;
+};
+
+template <>
+struct NodeRecord<true> {
+  uint32_t deg_in = 0;
+  uint32_t pos = kUnqueued;
+  double w_deg_in = 0.0;
+};
+
+/// A non-empty extreme bucket: its key and its nodes.
+struct Bucket {
+  uint32_t key;
+  std::span<const NodeId> nodes;
+};
+
+/// The member and frontier bucket queues of one climb, in one array:
+/// members in [0, m_), then the frontier (non-members with an edge into
+/// S) in [m_, size_), each sorted by key in descending order. For a key
+/// k, member_first_[k] and frontier_first_[k] hold the index of the
+/// queue's first node with key <= k, so bucket k spans first[k] up to
+/// first[k - 1] (for k = 0, up to the queue's end).
+///
+/// Boundaries are kept only over the keys in use, and written when a key
+/// comes into use, so neither preparing nor clearing a climb walks every
+/// key. The frontier's cover [0, frontier_top_], and nothing lies above
+/// frontier_top_ (frontier_first_[frontier_top_] == m_). The members'
+/// cover [member_low_, member_top_]; below member_low_ every member
+/// boundary would be m_, above member_top_ it would be 0. frontier_top_
+/// and member_low_ may lag the extreme keys; the extreme-bucket lookups
+/// move them past empty buckets. Records and the array are reused across
+/// climbs and reset in O(nodes queued).
+///
+/// The order inside a bucket is move history, so callers choose within a
+/// bucket by node id, never by position.
+template <bool kWeighted>
+class ClimbQueues {
  public:
+  using Record = NodeRecord<kWeighted>;
+
   /// Prepares for a graph with `num_nodes` nodes. Must be empty (freshly
   /// constructed or after Reset).
   void Configure(size_t num_nodes) {
-    if (pos_.size() < num_nodes) pos_.resize(num_nodes, Pos{0, 0, false});
-    max_hint_ = 0;
-    min_hint_ = 0;
-    size_ = 0;
+    if (records_.size() < num_nodes) {
+      records_.resize(num_nodes);
+      order_.resize(num_nodes);
+    }
+    if (frontier_first_.empty()) frontier_first_.push_back(0);
   }
 
-  /// Empties all buckets and membership flags. O(keys used + content).
+  Record& record(NodeId v) { return records_[v]; }
+  std::span<const NodeId> members() const { return {order_.data(), m_}; }
+  bool frontier_empty() const { return size_ == m_; }
+
+  /// Node v, outside S, joins it with key `key` (its frontier key, or 0
+  /// for a seed node off the frontier): it rises to the frontier's top
+  /// bucket, the middle shifts past it, and it climbs from the members'
+  /// smallest key to its own.
+  void Admit(NodeId v, uint32_t key) {
+    uint32_t from = key;
+    if (records_[v].pos == kUnqueued) {
+      Append(v);
+      from = 0;
+    }
+    TightenFrontierTop();
+    Rise<false>(v, from, frontier_top_);
+    if (m_ > 0) TightenMemberLow();
+    Swap(records_[v].pos, m_++);
+    frontier_first_[frontier_top_] = m_;
+    if (m_ == 1) {  // the first member
+      if (key >= member_first_.size()) Grow(member_first_, key);
+      member_first_[key] = 0;
+      member_low_ = member_top_ = key;
+    } else if (key < member_low_) {
+      for (uint32_t k = key; k < member_low_; ++k) member_first_[k] = m_ - 1;
+      member_low_ = key;
+    } else {
+      Rise<true>(v, member_low_, key);
+    }
+  }
+
+  /// Member v, in the smallest-key bucket, leaves S with key `key`: the
+  /// middle shifts back past it and it moves from the frontier's top
+  /// bucket to its key, or, with no edge into S (`attached` false), out
+  /// of both queues.
+  void Release(NodeId v, uint32_t key, bool attached) {
+    TightenFrontierTop();
+    Swap(records_[v].pos, --m_);
+    frontier_first_[frontier_top_] = m_;
+    if (!attached) {
+      Detach(v, frontier_top_);
+    } else if (key < frontier_top_) {
+      Fall<false>(v, frontier_top_, key);
+    } else {
+      Rise<false>(v, frontier_top_, key);
+    }
+  }
+
+  /// Refiles v, a neighbour of a node that just joined S, from key
+  /// `from` up to key `to`. A node off both queues (this is its first
+  /// edge into S) joins the frontier.
+  void Raise(NodeId v, uint32_t from, uint32_t to) {
+    const uint32_t pos = records_[v].pos;
+    if (pos < m_) {
+      Rise<true>(v, from, to);
+    } else if (pos == kUnqueued) {
+      Append(v);
+      Rise<false>(v, 0, to);
+    } else {
+      Rise<false>(v, from, to);
+    }
+  }
+
+  /// Refiles v, a neighbour of a node that just left S, from key `from`
+  /// down to key `to`. A frontier node left with no edge into S leaves
+  /// the frontier.
+  void Lower(NodeId v, uint32_t from, uint32_t to) {
+    if (records_[v].pos < m_) {
+      Fall<true>(v, from, to);
+    } else if (records_[v].deg_in == 0) {
+      Detach(v, from);
+    } else {
+      Fall<false>(v, from, to);
+    }
+  }
+
+  /// The frontier's largest-key bucket. The frontier must be non-empty.
+  Bucket FrontierTop() {
+    TightenFrontierTop();
+    const uint32_t end =
+        frontier_top_ > 0 ? frontier_first_[frontier_top_ - 1] : size_;
+    return {frontier_top_, {order_.data() + m_, end - m_}};
+  }
+
+  /// The members' smallest-key bucket. S must be non-empty.
+  Bucket MemberBottom() {
+    TightenMemberLow();
+    const uint32_t begin = member_first_[member_low_];
+    return {member_low_, {order_.data() + begin, m_ - begin}};
+  }
+
+  /// Clears the record of every queued node, then empties both queues.
   void Reset() {
-    for (uint32_t key = min_hint_; key <= max_hint_ && key < buckets_.size();
-         ++key) {
-      for (NodeId v : buckets_[key]) pos_[v].in = false;
-      buckets_[key].clear();
-    }
+    for (uint32_t i = 0; i < size_; ++i) records_[order_[i]] = Record{};
+    m_ = 0;
     size_ = 0;
-    max_hint_ = 0;
-    min_hint_ = 0;
-  }
-
-  bool empty() const { return size_ == 0; }
-  size_t size() const { return size_; }
-
-  bool Contains(NodeId v) const { return pos_[v].in; }
-
-  /// Current key of a contained node. Precondition: Contains(v).
-  uint32_t KeyOf(NodeId v) const { return pos_[v].key; }
-
-  void Insert(NodeId v, uint32_t key) {
-    if (key >= buckets_.size()) Grow(key);
-    auto& bucket = buckets_[key];
-    pos_[v] = {key, static_cast<uint32_t>(bucket.size()), true};
-    bucket.push_back(v);
-    ++size_;
-    max_hint_ = std::max(max_hint_, key);
-    min_hint_ = std::min(min_hint_, key);
-  }
-
-  void Erase(NodeId v) {
-    Pos& p = pos_[v];
-    auto& bucket = buckets_[p.key];
-    NodeId moved = bucket.back();
-    bucket[p.index] = moved;
-    bucket.pop_back();
-    if (moved != v) pos_[moved].index = p.index;
-    p.in = false;
-    --size_;
-  }
-
-  /// Moves v to bucket `new_key`; a no-op when v is already there (a
-  /// weighted deg-in mostly moves within one quantum).
-  void ChangeKey(NodeId v, uint32_t new_key) {
-    if (pos_[v].key == new_key) return;
-    Erase(v);
-    Insert(v, new_key);
-  }
-
-  /// A non-empty bucket: its key and its nodes.
-  struct Bucket {
-    uint32_t key;
-    std::span<const NodeId> nodes;
-  };
-
-  /// The largest-key non-empty bucket (advances the hint). Queue must be
-  /// non-empty.
-  Bucket MaxBucket() {
-    while (buckets_[max_hint_].empty()) --max_hint_;
-    return {max_hint_, buckets_[max_hint_]};
-  }
-
-  /// The smallest-key non-empty bucket (advances the hint).
-  Bucket MinBucket() {
-    while (buckets_[min_hint_].empty()) ++min_hint_;
-    return {min_hint_, buckets_[min_hint_]};
-  }
-
-  /// Calls fn(v, key) for every contained node (bucket order).
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    for (uint32_t key = min_hint_; key <= max_hint_ && key < buckets_.size();
-         ++key) {
-      for (NodeId v : buckets_[key]) fn(v, key);
-    }
+    frontier_top_ = 0;
+    frontier_first_[0] = 0;
   }
 
  private:
-  struct Pos {
-    uint32_t key;
-    uint32_t index;
-    bool in;
-  };
+  /// Frontier node v, at key `from`, has no edge into S left: it leaves
+  /// the frontier through its last bucket, and its record is cleared.
+  void Detach(NodeId v, uint32_t from) {
+    Fall<false>(v, from, 0);
+    Swap(records_[v].pos, --size_);
+    records_[v] = Record{};
+  }
 
-  /// Out of line so that Insert, which the climbs call in their inner
-  /// loops, stays small enough to be inlined there.
-  [[gnu::noinline]] void Grow(uint32_t key) { buckets_.resize(key + 1); }
+  // Moves within the members' queue (kMember) or the frontier's. A
+  // weighted key stays put on about 40% of neighbour updates, too
+  // irregularly for branch prediction, so the last level of a move is a
+  // conditional swap (of v with itself when the key stays) rather than a
+  // branch.
+  template <bool kMember>
+  void Rise(NodeId v, uint32_t from, uint32_t to) {
+    for (; to - from > 1; ++from) StepUp<kMember>(v, from, 1);
+    StepUp<kMember>(v, from, to - from);
+  }
 
-  std::vector<std::vector<NodeId>> buckets_;
-  std::vector<Pos> pos_;
-  size_t size_ = 0;
-  // Every non-empty bucket lies in [min_hint_, max_hint_]: Insert widens
-  // the range, and the extreme-bucket lookups narrow it only past empty
-  // buckets.
-  uint32_t max_hint_ = 0;
-  uint32_t min_hint_ = 0;
+  template <bool kMember>
+  void Fall(NodeId v, uint32_t from, uint32_t to) {
+    for (; from - to > 1; --from) StepDown<kMember>(v, from, 1);
+    StepDown<kMember>(v, from, from - to);
+  }
+
+  /// Raises v from `key` by `step` (0 or 1) levels: swaps it with the
+  /// first node of its bucket, which then starts one later.
+  template <bool kMember>
+  void StepUp(NodeId v, uint32_t key, uint32_t step) {
+    std::vector<uint32_t>& first = kMember ? member_first_ : frontier_first_;
+    uint32_t& top = kMember ? member_top_ : frontier_top_;
+    if (key == top) {  // key + 1 comes into use if v moves
+      if (top + 1 == first.size()) Grow(first, top + 1);
+      first[top + 1] = kMember ? 0 : m_;
+      top += step;
+    }
+    uint32_t& boundary = first[key];
+    const uint32_t pos = records_[v].pos;
+    Swap(pos, step != 0 ? boundary : pos);
+    boundary += step;
+  }
+
+  /// Lowers v from `key` by `step` (0 or 1) levels: swaps it with the
+  /// last node of its bucket, which then ends one earlier.
+  template <bool kMember>
+  void StepDown(NodeId v, uint32_t key, uint32_t step) {
+    std::vector<uint32_t>& first = kMember ? member_first_ : frontier_first_;
+    if (kMember && key == member_low_ && key > 0) {
+      first[key - 1] = m_;  // key - 1 comes into use if v moves
+      member_low_ -= step;
+    }
+    uint32_t& boundary = first[key - step];
+    boundary -= step;
+    const uint32_t pos = records_[v].pos;
+    Swap(pos, step != 0 ? boundary : pos);
+  }
+
+  /// Exchanges the nodes at indices i and j.
+  void Swap(uint32_t i, uint32_t j) {
+    const NodeId a = order_[i];
+    const NodeId b = order_[j];
+    order_[i] = b;
+    records_[b].pos = i;
+    order_[j] = a;
+    records_[a].pos = j;
+  }
+
+  /// Files v at the end of the frontier, in its key-0 bucket.
+  void Append(NodeId v) {
+    order_[size_] = v;
+    records_[v].pos = size_++;
+  }
+
+  void TightenFrontierTop() {
+    while (frontier_top_ > 0 && frontier_first_[frontier_top_ - 1] == m_) {
+      --frontier_top_;
+    }
+  }
+
+  /// S must be non-empty.
+  void TightenMemberLow() {
+    while (member_first_[member_low_] == m_) ++member_low_;
+  }
+
+  /// Out of line so that the moves, which the climbs call in their inner
+  /// loops, stay small enough to be inlined there.
+  [[gnu::noinline]] static void Grow(std::vector<uint32_t>& first,
+                                     uint32_t key) {
+    first.resize(std::max<size_t>(2 * first.size(), key + 1));
+  }
+
+  std::vector<Record> records_;
+  std::vector<NodeId> order_;
+  std::vector<uint32_t> member_first_;
+  std::vector<uint32_t> frontier_first_;
+  uint32_t m_ = 0;
+  uint32_t size_ = 0;
+  uint32_t frontier_top_ = 0;
+  uint32_t member_low_ = 0;
+  uint32_t member_top_ = 0;
 };
 
-/// Number of quantization levels for weighted keys. 1024 keeps the two
-/// queues' bucket arrays L1-resident while making same-bucket collisions
-/// rare on real weight distributions.
-constexpr uint32_t kWeightBuckets = 1024;
-
-/// Per-thread reusable climb state: the deg-in arrays and the two bucket
-/// queues, O(n) memory, reset in O(touched) after each climb. Weighted
-/// climbs also read a weighted-degree table and a quantization scale.
-/// Building them costs O(n + m), so they are kept across climbs, keyed
-/// on Graph::id(): no other graph, even one later built over the same
+/// Per-thread reusable climb state: the queues and, for weighted climbs,
+/// a weighted-degree table and the key scale. Building the table and
+/// scale costs O(n + m), so they are kept across climbs, keyed on
+/// Graph::id(): no other graph, even one later built over the same
 /// storage, can carry that id.
+template <bool kWeighted>
 struct ClimbScratch {
-  std::vector<uint32_t> deg_in;
-  std::vector<double> w_deg_in;  // weighted climbs only
-  std::vector<double> wdeg;      // WeightedDegree(v) of graph `cached_id`
-  double inv_quantum = 0.0;      // quantization scale of graph `cached_id`
-  uint64_t cached_id = 0;        // 0 = no table built yet
-  BucketQueue frontier;          // non-members touching S
-  BucketQueue members;
+  ClimbQueues<kWeighted> queues;
+  std::vector<double> wdeg;  // WeightedDegree(v) of graph `cached_id`
+  double inv_scale = 0.0;    // 1 / largest edge weight of `cached_id`
+  uint64_t cached_id = 0;    // 0 = no table built yet
 
-  void Configure(const Graph& graph, bool weighted) {
+  void Configure(const Graph& graph) {
     const size_t n = graph.num_nodes();
-    if (deg_in.size() < n) deg_in.resize(n, 0);
-    frontier.Configure(n);
-    members.Configure(n);
-    if (!weighted) return;
-    if (w_deg_in.size() < n) w_deg_in.resize(n, 0.0);
-    if (graph.id() == cached_id) return;
+    queues.Configure(n);
+    if (!kWeighted || graph.id() == cached_id) return;
     wdeg.resize(n);
-    double max_wdeg = 0.0;
     for (NodeId v = 0; v < n; ++v) {
       // Same summation order as Graph::WeightedDegree — the table must
       // be bit-identical to what the generic climber memoizes.
       wdeg[v] = graph.WeightedDegree(v);
-      max_wdeg = std::max(max_wdeg, wdeg[v]);
     }
-    // w_deg_in(v) <= WeightedDegree(v) <= max_wdeg, so this maps every
-    // key into [0, kWeightBuckets); Quantize still clamps to absorb
-    // float accumulation overshoot.
-    inv_quantum = max_wdeg > 0.0 ? (kWeightBuckets - 1) / max_wdeg : 0.0;
+    double max_weight = 0.0;
+    for (double w : graph.weight_array()) max_weight = std::max(max_weight, w);
+    inv_scale = max_weight > 0.0 ? 1.0 / max_weight : 0.0;
     cached_id = graph.id();
   }
 
-  /// Monotone map from a weighted deg-in to its bucket. Non-positive
-  /// inputs (possible only as float residue) file under 0.
+  /// Monotone map from a weighted deg-in to its key. Non-positive inputs
+  /// (possible only as float residue) file under 0.
   uint32_t Quantize(double w) const {
-    if (w <= 0.0) return 0;
-    double scaled = w * inv_quantum;
-    if (scaled >= kWeightBuckets - 1) return kWeightBuckets - 1;
-    return static_cast<uint32_t>(scaled);
-  }
-
-  /// Clears everything the last climb touched (the deg-ins of every node
-  /// still queued; evicted frontier nodes are already zero).
-  void Reset(bool weighted) {
-    auto clear = [this, weighted](NodeId v, uint32_t) {
-      deg_in[v] = 0;
-      if (weighted) w_deg_in[v] = 0.0;
-    };
-    frontier.ForEach(clear);
-    members.ForEach(clear);
-    frontier.Reset();
-    members.Reset();
+    return w > 0.0 ? static_cast<uint32_t>(w * inv_scale) : 0;
   }
 };
 
@@ -258,11 +390,11 @@ NodeId SmallestId(std::span<const NodeId> bucket) {
 /// smallest id.
 template <bool kLargest>
 NodeId WeightedExtreme(std::span<const NodeId> bucket,
-                       const std::vector<double>& w_deg_in) {
+                       ClimbQueues<true>& queues) {
   NodeId best = bucket.front();
-  double best_w = w_deg_in[best];
+  double best_w = queues.record(best).w_deg_in;
   for (NodeId u : bucket.subspan(1)) {
-    const double w = w_deg_in[u];
+    const double w = queues.record(u).w_deg_in;
     if ((kLargest ? w > best_w : w < best_w) || (w == best_w && u < best)) {
       best = u;
       best_w = w;
@@ -277,12 +409,9 @@ NodeId WeightedExtreme(std::span<const NodeId> bucket,
 template <bool kWeighted>
 LocalSearchResult BucketClimb(const Graph& graph, const Community& seed,
                               const LocalSearchOptions& options,
-                              ClimbScratch& scratch) {
-  scratch.Configure(graph, kWeighted);
-  auto& deg_in = scratch.deg_in;
-  auto& w_deg_in = scratch.w_deg_in;
-  auto& frontier = scratch.frontier;
-  auto& members = scratch.members;
+                              ClimbScratch<kWeighted>& scratch) {
+  scratch.Configure(graph);
+  auto& queues = scratch.queues;
   // use_weights on an unweighted graph is the all-1.0 case. There the
   // weighted fields mirror the integer ones and evaluate bit for bit
   // alike (fitness.h), so unweighted climbs evaluate the integer fields.
@@ -294,73 +423,63 @@ LocalSearchResult BucketClimb(const Graph& graph, const Community& seed,
   // quantized weighted deg-in.
   auto key_of = [&](NodeId u) -> uint32_t {
     if constexpr (kWeighted) {
-      return scratch.Quantize(w_deg_in[u]);
+      return scratch.Quantize(queues.record(u).w_deg_in);
     } else {
-      return deg_in[u];
+      return queues.record(u).deg_in;
     }
   };
 
   // The neighbour loops below compute keys from the values in hand
   // rather than through key_of: they are the hot path of every climb.
   auto add_node = [&](NodeId v) {
-    if (frontier.Contains(v)) frontier.Erase(v);
-    members.Insert(v, key_of(v));
+    queues.Admit(v, key_of(v));
     stats.size += 1;
-    stats.ein += deg_in[v];
+    stats.ein += queues.record(v).deg_in;
     stats.volume += graph.Degree(v);
     const double* w = nullptr;  // v's edge weights, in neighbour order
     if constexpr (kWeighted) {
-      stats.w_in += w_deg_in[v];
+      stats.w_in += queues.record(v).w_deg_in;
       stats.w_volume += scratch.wdeg[v];
       w = graph.Weights(v).data();
     }
     for (NodeId u : graph.Neighbors(v)) {
-      uint32_t du = ++deg_in[u];
-      double wu = 0.0;
-      if constexpr (kWeighted) wu = w_deg_in[u] += *w++;
-      uint32_t key = kWeighted ? scratch.Quantize(wu) : du;
-      if (members.Contains(u)) {
-        members.ChangeKey(u, key);
-      } else if (du == 1) {
-        frontier.Insert(u, key);
-      } else {
-        frontier.ChangeKey(u, key);
+      auto& r = queues.record(u);
+      const uint32_t du = ++r.deg_in;
+      uint32_t from = du - 1;
+      uint32_t to = du;
+      if constexpr (kWeighted) {
+        from = scratch.Quantize(r.w_deg_in);
+        to = scratch.Quantize(r.w_deg_in += *w++);
       }
+      queues.Raise(u, from, to);
     }
   };
 
+  // Detaching a node from both queues clears its record, and so drops
+  // any float residue the subtractions left in its weighted deg-in, as
+  // CommunityState drops a non-member with no edge into S.
   auto remove_node = [&](NodeId v) {
-    uint32_t d = deg_in[v];
-    members.Erase(v);
+    const uint32_t d = queues.record(v).deg_in;
     stats.size -= 1;
     stats.ein -= d;
     stats.volume -= graph.Degree(v);
     const double* w = nullptr;
     if constexpr (kWeighted) {
-      stats.w_in -= w_deg_in[v];
+      stats.w_in -= queues.record(v).w_deg_in;
       stats.w_volume -= scratch.wdeg[v];
       w = graph.Weights(v).data();
     }
+    queues.Release(v, key_of(v), d > 0);
     for (NodeId u : graph.Neighbors(v)) {
-      uint32_t du = --deg_in[u];
-      double wu = 0.0;
-      if constexpr (kWeighted) wu = w_deg_in[u] -= *w++;
-      if (members.Contains(u)) {
-        members.ChangeKey(u, kWeighted ? scratch.Quantize(wu) : du);
-      } else if (du == 0) {
-        frontier.Erase(u);
-        // Mirror CommunityState's garbage collection: zero edges into S
-        // means the weighted deg-in is exactly 0 — drop any float
-        // residue the subtraction left behind.
-        if constexpr (kWeighted) w_deg_in[u] = 0.0;
-      } else {
-        frontier.ChangeKey(u, kWeighted ? scratch.Quantize(wu) : du);
+      auto& r = queues.record(u);
+      const uint32_t du = --r.deg_in;
+      uint32_t from = du + 1;
+      uint32_t to = du;
+      if constexpr (kWeighted) {
+        from = scratch.Quantize(r.w_deg_in);
+        to = scratch.Quantize(r.w_deg_in -= *w++);
       }
-    }
-    if (d > 0) {
-      frontier.Insert(v, key_of(v));
-    } else if constexpr (kWeighted) {
-      w_deg_in[v] = 0.0;
+      queues.Lower(u, from, to);
     }
   };
 
@@ -383,15 +502,15 @@ LocalSearchResult BucketClimb(const Graph& graph, const Community& seed,
     std::span<const NodeId> best_bucket;  // empty: no improving move
     NodeId best_node = kNoNode;
     bool best_is_add = true;
-    if (!frontier.empty() && (options.max_community_size == 0 ||
-                              stats.size < options.max_community_size)) {
-      const BucketQueue::Bucket bucket = frontier.MaxBucket();
+    if (!queues.frontier_empty() && (options.max_community_size == 0 ||
+                                     stats.size < options.max_community_size)) {
+      const Bucket bucket = queues.FrontierTop();
       NodeId v = kNoNode;
       double gain;
       if constexpr (kWeighted) {
-        v = WeightedExtreme<true>(bucket.nodes, w_deg_in);
-        gain = WeightedFitnessGainAdd(stats, w_deg_in[v], scratch.wdeg[v],
-                                      fitness);
+        v = WeightedExtreme<true>(bucket.nodes, queues);
+        gain = WeightedFitnessGainAdd(stats, queues.record(v).w_deg_in,
+                                      scratch.wdeg[v], fitness);
       } else {
         gain = FitnessGainAdd(stats, bucket.key, bucket.key, fitness);
       }
@@ -403,13 +522,13 @@ LocalSearchResult BucketClimb(const Graph& graph, const Community& seed,
     }
     // Strictly greater: an add wins a tie with a removal.
     if (options.allow_remove && stats.size > 1) {
-      const BucketQueue::Bucket bucket = members.MinBucket();
+      const Bucket bucket = queues.MemberBottom();
       NodeId v = kNoNode;
       double gain;
       if constexpr (kWeighted) {
-        v = WeightedExtreme<false>(bucket.nodes, w_deg_in);
-        gain = WeightedFitnessGainRemove(stats, w_deg_in[v], scratch.wdeg[v],
-                                         fitness);
+        v = WeightedExtreme<false>(bucket.nodes, queues);
+        gain = WeightedFitnessGainRemove(stats, queues.record(v).w_deg_in,
+                                         scratch.wdeg[v], fitness);
       } else {
         gain = FitnessGainRemove(stats, bucket.key, bucket.key, fitness);
       }
@@ -433,11 +552,10 @@ LocalSearchResult BucketClimb(const Graph& graph, const Community& seed,
   }
 
   // Collect members and release the scratch for the next climb.
-  result.community.reserve(stats.size);
-  members.ForEach(
-      [&result](NodeId v, uint32_t) { result.community.push_back(v); });
+  const std::span<const NodeId> members = queues.members();
+  result.community.assign(members.begin(), members.end());
   std::sort(result.community.begin(), result.community.end());
-  scratch.Reset(kWeighted);
+  queues.Reset();
   if constexpr (!kWeighted) {
     // The exact integer mirrors (see SubsetStats).
     stats.w_in = static_cast<double>(stats.ein);
@@ -561,15 +679,16 @@ Result<LocalSearchResult> GreedyLocalSearch(
   if (!DegInRanked(options.fitness)) {
     return GenericClimb(graph, seed, options);
   }
-  thread_local ClimbScratch scratch;
   // Weighted fitness on a weighted graph ranks candidates by the
   // weighted deg-in (a double), hence the quantized key. use_weights on
   // an unweighted graph is the all-1.0 case, which the exact integer
   // key serves.
   if (options.fitness.use_weights && graph.is_weighted()) {
-    return BucketClimb<true>(graph, seed, options, scratch);
+    thread_local ClimbScratch<true> scratch;
+    return BucketClimb(graph, seed, options, scratch);
   }
-  return BucketClimb<false>(graph, seed, options, scratch);
+  thread_local ClimbScratch<false> scratch;
+  return BucketClimb(graph, seed, options, scratch);
 }
 
 Result<LocalSearchResult> ReferenceLocalSearch(

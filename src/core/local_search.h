@@ -46,8 +46,13 @@ struct LocalSearchResult {
 /// free after canonicalization). Deterministic, with one tie rule: among
 /// equal-best moves the smallest node id wins, and an add beats a
 /// removal of equal gain. The directed Laplacian and raw phi climb on
-/// bucket queues keyed by deg-in, in O(vol(S)) per climb; the other
-/// fitness kinds rescan every candidate at each step.
+/// two bucket queues, members and frontier, keyed by deg-in: the exact
+/// count, or with use_weights on a weighted graph the weighted deg-in
+/// in units of the graph's largest edge weight, the extreme bucket then
+/// rescanned exactly. Both queues share one flat array sorted by key, so
+/// a neighbour update moves a node one bucket with one swap, and a climb
+/// touches only the nodes it reaches, never all n. The other fitness
+/// kinds rescan every candidate at each step.
 Result<LocalSearchResult> GreedyLocalSearch(const Graph& graph,
                                             const Community& seed_set,
                                             const LocalSearchOptions& options);

@@ -460,10 +460,7 @@ SpectralEngine::SweepOutcome SpectralEngine::LanczosSweep(
 
 SpectralEngine::CacheEntry* SpectralEngine::FindEntry(const Graph& graph) {
   for (auto& entry : cache_) {
-    if (entry.graph == &graph && entry.nodes == graph.num_nodes() &&
-        entry.edges == graph.num_edges()) {
-      return &entry;
-    }
+    if (entry.graph_id == graph.id()) return &entry;
   }
   return nullptr;
 }
@@ -479,9 +476,7 @@ SpectralEngine::CacheEntry* SpectralEngine::TouchEntry(const Graph& graph) {
     cache_.erase(cache_.begin());
   }
   CacheEntry entry;
-  entry.graph = &graph;
-  entry.nodes = graph.num_nodes();
-  entry.edges = graph.num_edges();
+  entry.graph_id = graph.id();
   cache_.push_back(std::move(entry));
   return &cache_.back();
 }
@@ -696,7 +691,7 @@ bool SpectralEngine::GetCachedMinEigenvector(const Graph& graph,
 
 void SpectralEngine::Forget(const Graph& graph) {
   for (auto it = cache_.begin(); it != cache_.end(); ++it) {
-    if (it->graph == &graph) {
+    if (it->graph_id == graph.id()) {
       cache_.erase(it);
       return;
     }

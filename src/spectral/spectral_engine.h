@@ -41,10 +41,10 @@
 // across thread counts.
 //
 // Thread-safety: an engine instance is NOT thread-safe; use one per
-// thread or guard externally. Cached entries are keyed by Graph address
-// (plus node/edge counts as a guard); callers must not destroy a graph
-// and reuse its address while relying on the cache — `Forget`/
-// `ClearCache` drop entries explicitly.
+// thread or guard externally. Cached entries are keyed by Graph::id(),
+// which copies and moves of a graph share and every new or reset graph
+// renews, so a graph built where a dead one lived never reads the dead
+// one's entry. `Forget`/`ClearCache` drop entries to bound the cache.
 
 #ifndef OCA_SPECTRAL_SPECTRAL_ENGINE_H_
 #define OCA_SPECTRAL_SPECTRAL_ENGINE_H_
@@ -194,8 +194,8 @@ class SpectralEngine {
   bool GetCachedMinEigenvector(const Graph& graph,
                                std::vector<double>* out) const;
 
-  /// Drops the cache entry for `graph` (e.g. before its storage is
-  /// reused) / the whole cache.
+  /// Drops the cache entry for `graph` (e.g. once a subgraph is done
+  /// with, to bound the cache) / the whole cache.
   void Forget(const Graph& graph);
   void ClearCache();
 
@@ -211,9 +211,7 @@ class SpectralEngine {
   struct SweepOutcome;
 
   struct CacheEntry {
-    const Graph* graph = nullptr;
-    size_t nodes = 0;
-    size_t edges = 0;
+    uint64_t graph_id = 0;  // Graph::id() of the solved graph
     bool has_extremes = false;
     ExtremeEigenvalues extremes;
     bool has_coupling = false;

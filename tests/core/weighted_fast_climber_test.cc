@@ -34,6 +34,21 @@ Graph NestedGraph() {
   return GenerateNestedPartition(gen).value().graph;
 }
 
+// The tree workloads' shape at a quarter of their size: 384 nodes at
+// degree ~39. RunOca-shaped seeds on it climb to |S| = 96, and 41% of
+// their steps are removals, so keys move across many levels.
+Graph TreeShapedGraph() {
+  NestedPartitionOptions gen;
+  gen.num_supers = 4;
+  gen.subs_per_super = 4;
+  gen.nodes_per_sub = 24;
+  gen.p_sub = 0.85;
+  gen.p_super = 0.15;
+  gen.p_out = 0.03;
+  gen.seed = 13;
+  return GenerateNestedPartition(gen).value().graph;
+}
+
 Graph HashWeighted(const Graph& g, double lo = 0.1, double hi = 10.0,
                    uint64_t seed = 42) {
   WeightAssignOptions options;
@@ -161,21 +176,22 @@ TEST(WeightedFastClimberTest, MatchesGenericUnderExtremeWeightSkew) {
 TEST(WeightedFastClimberTest, MultiNodeSeedsMatchGeneric) {
   // RunOca seeds climbs with a node plus part of its neighbourhood, so
   // multi-node seeds are the shape every cover is built from.
-  const Graph unweighted = NestedGraph();
-  const Graph weighted = HashWeighted(unweighted);
   LocalSearchOptions options;
   options.fitness.c = 0.4;
   LocalSearchOptions integer = options;
   options.fitness.use_weights = true;
-  for (NodeId base = 0; base + 4 < weighted.num_nodes(); base += 11) {
-    Community seed{base, base + 1, base + 4};
-    ExpectClimbsMatch(weighted, options, seed);
-    ExpectClimbsMatch(unweighted, integer, seed);
-    auto nbrs = unweighted.Neighbors(base);
-    Community ball{base};
-    for (size_t i = 0; i < nbrs.size(); i += 2) ball.push_back(nbrs[i]);
-    ExpectClimbsMatch(weighted, options, ball);
-    ExpectClimbsMatch(unweighted, integer, ball);
+  for (const Graph& unweighted : {NestedGraph(), TreeShapedGraph()}) {
+    const Graph weighted = HashWeighted(unweighted);
+    for (NodeId base = 0; base + 4 < weighted.num_nodes(); base += 11) {
+      Community seed{base, base + 1, base + 4};
+      ExpectClimbsMatch(weighted, options, seed);
+      ExpectClimbsMatch(unweighted, integer, seed);
+      auto nbrs = unweighted.Neighbors(base);
+      Community ball{base};
+      for (size_t i = 0; i < nbrs.size(); i += 2) ball.push_back(nbrs[i]);
+      ExpectClimbsMatch(weighted, options, ball);
+      ExpectClimbsMatch(unweighted, integer, ball);
+    }
   }
 }
 

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 
 #include "gen/erdos_renyi.h"
 #include "gen/lfr.h"
+#include "graph/graph_builder.h"
 #include "testing/test_graphs.h"
 #include "util/random.h"
 
@@ -231,6 +233,34 @@ TEST(SpectralEngineTest, CachesPerGraphAndForgetDropsEntries) {
   auto third = engine.CouplingConstant(g).value();
   EXPECT_GT(third.iterations, 0u);
   EXPECT_EQ(third.c, first.c);  // same seed, same graph: bit-identical
+}
+
+TEST(SpectralEngineTest, GraphBuiltWhereADeadOneLivedMissesTheCache) {
+  // A 4-node path and a 4-node star share n = 4 and m = 3. Built one
+  // after the other in the same optional, they share an address too; the
+  // star must still be solved, not answered from the path's entry, whose
+  // c = 1/1.618 lies above the star's admissible bound 1/sqrt(3).
+  SpectralEngine engine;
+  std::optional<Graph> slot;
+  slot.emplace(BuildGraph(4, {{0, 1}, {1, 2}, {2, 3}}).value());
+  const Graph* const address = &*slot;
+  const auto path = engine.CouplingConstant(*slot).value();
+  EXPECT_NEAR(path.lambda_min, -(1.0 + std::sqrt(5.0)) / 2.0, 1e-4);
+  slot.reset();
+  slot.emplace(Star(3));
+  ASSERT_EQ(&*slot, address);
+  ASSERT_EQ(slot->num_edges(), 3u);
+  const auto star = engine.CouplingConstant(*slot).value();
+  EXPECT_GT(star.iterations, 0u);
+  EXPECT_NEAR(star.lambda_min, -std::sqrt(3.0), 1e-4);
+  EXPECT_LE(star.c, 1.0 / std::sqrt(3.0) + 1e-9);
+  EXPECT_EQ(engine.cache_hits(), 0u);
+
+  // A copy holds the same graph under the same id: a hit is correct.
+  const Graph copy = *slot;
+  const auto again = engine.CouplingConstant(copy).value();
+  EXPECT_EQ(again.iterations, 0u);
+  EXPECT_EQ(again.c, star.c);
 }
 
 TEST(SpectralEngineTest, ExtremesSeedsCouplingCache) {
