@@ -8,6 +8,7 @@
 //   - greedy local search: per-climb cost against graph size, and the
 //     weighted climber
 //   - the .ocac snapshot writer
+//   - full structural validation of an lfr_flat-shaped graph
 
 #include <benchmark/benchmark.h>
 
@@ -27,6 +28,7 @@
 #include "gen/nested_partition.h"
 #include "gen/weight_assign.h"
 #include "graph/graph_builder.h"
+#include "graph/graph_checks.h"
 #include "io/community_serialize.h"
 #include "spectral/csr_matvec.h"
 #include "spectral/extreme_eigen.h"
@@ -517,5 +519,41 @@ BENCHMARK(BM_WriteCommunityStore)
     ->Arg(0)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
+
+// ValidateGraph, the deep check OpenMmapGraph runs on every open, on an
+// LFR graph shaped like the e2e lfr_flat workload's (n = 100,000, mean
+// degree 20, max 60, mu = 0.3, 10% of nodes in two communities). Arg:
+// 0 = unweighted; 1 = AssignWeights hash weights, which adds the weight
+// checks and a third array. items/sec counts neighbor entries.
+void BM_ValidateGraph(benchmark::State& state) {
+  static const oca::Graph* flat = [] {
+    oca::LfrOptions opt;
+    opt.num_nodes = 100000;
+    opt.average_degree = 20.0;
+    opt.max_degree = 60;
+    opt.mixing = 0.3;
+    opt.min_community = 20;
+    opt.max_community = 100;
+    opt.overlapping_nodes = opt.num_nodes / 10;
+    opt.overlap_memberships = 2;
+    opt.seed = 1;
+    return new oca::Graph(oca::GenerateLfr(opt).value().graph);
+  }();
+  static const oca::Graph* weighted =
+      new oca::Graph(oca::AssignWeights(*flat).value());
+  const oca::Graph& g = state.range(0) == 0 ? *flat : *weighted;
+  for (auto _ : state) {
+    oca::Status status = oca::ValidateGraph(g);
+    if (!status.ok()) {
+      state.SkipWithError(status.message().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(status);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(g.neighbor_array().size()));
+  state.SetLabel(state.range(0) == 0 ? "unweighted" : "hash-weights");
+}
+BENCHMARK(BM_ValidateGraph)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -31,10 +31,11 @@ namespace oca {
 
 struct MmapGraphOptions {
   /// Run the full structural validation (ValidateGraph: monotone
-  /// offsets, sorted loop-free neighbor lists, symmetry) after the
-  /// header checks. One sequential O(m log d) pass; turn off only for
-  /// files this process just wrote. Header/size/offset-table checks
-  /// always run regardless.
+  /// offsets, sorted loop-free neighbor lists, symmetry, weights) after
+  /// the header checks. Two O(n + m) passes over the arrays (README
+  /// "Backends" gives timings); turn off only for files this process
+  /// just wrote. Header/size/offset-table checks always run
+  /// regardless.
   bool validate = true;
 
   /// Advise the kernel the mapping will be read sequentially

@@ -81,23 +81,22 @@ Result<Graph> ReadGraphBinary(std::istream& in) {
   }
   // Sanity-check the header against the remaining stream size before
   // allocating: a corrupted size field must not trigger a multi-terabyte
-  // allocation (found by the corruption-injection tests).
-  {
-    std::streampos cur = in.tellg();
-    if (cur >= 0) {
-      in.seekg(0, std::ios::end);
-      std::streampos end = in.tellg();
-      in.seekg(cur);
-      if (end >= 0) {
-        uint64_t remaining = static_cast<uint64_t>(end - cur);
-        uint64_t expected = (n + 1) * sizeof(uint64_t) + arr * sizeof(NodeId) +
-                            (weighted ? arr * sizeof(double) : 0);
-        if (n > (UINT64_MAX / sizeof(uint64_t)) - 1 || expected != remaining) {
-          return Status::IOError(
-              "OCAG header sizes inconsistent with stream length");
-        }
-      }
-    }
+  // allocation (found by the corruption-injection tests). Each count is
+  // bounded by the bytes left before it is multiplied, so no product can
+  // wrap round to the true length.
+  const std::streampos cur = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streampos end = in.tellg();
+  in.seekg(cur);
+  if (cur < 0 || end < cur || !in) {
+    return Status::IOError("cannot determine OCAG stream length");
+  }
+  const uint64_t remaining = static_cast<uint64_t>(end - cur);
+  const uint64_t entry_bytes = sizeof(NodeId) + (weighted ? sizeof(double) : 0);
+  if (n >= remaining / sizeof(uint64_t) ||
+      arr > (remaining - (n + 1) * sizeof(uint64_t)) / entry_bytes ||
+      (n + 1) * sizeof(uint64_t) + arr * entry_bytes != remaining) {
+    return Status::IOError("OCAG header sizes inconsistent with stream length");
   }
   std::vector<uint64_t> offsets(n + 1);
   in.read(reinterpret_cast<char*>(offsets.data()),

@@ -21,6 +21,12 @@ Status WriteGraphBinary(const Graph& graph, std::ostream& out);
 /// old file (OpenMmapGraph) keeps reading it.
 Status WriteGraphBinaryFile(const Graph& graph, const std::string& path);
 
+/// Reads one graph and runs ValidateGraph on it. `in` must be seekable:
+/// the header's counts are checked against the stream's length before
+/// anything is allocated. kIOError for bytes that cannot be trusted
+/// (bad magic or version, sizes that disagree with the length, an
+/// unseekable stream, truncation); ValidateGraph's error for a CSR that
+/// is not a simple undirected graph.
 Result<Graph> ReadGraphBinary(std::istream& in);
 Result<Graph> ReadGraphBinaryFile(const std::string& path);
 

@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <sstream>
 
 #include "gen/erdos_renyi.h"
 #include "graph/mmap_graph.h"
+#include "io/graph_format.h"
 #include "testing/test_graphs.h"
 #include "util/random.h"
 
@@ -67,6 +69,28 @@ TEST(GraphSerializeTest, CorruptedCsrRejectedByValidation) {
   std::stringstream corrupted(bytes);
   auto result = ReadGraphBinary(corrupted);
   EXPECT_FALSE(result.ok());
+}
+
+TEST(GraphSerializeTest, WrappingArrayLengthIsTypedError) {
+  // n = 1 and 2m = 2^62 + 2: the header's byte count (n + 1) * 8 +
+  // 2m * 4 (v1) or 2m * 12 (v2) wraps round in 64 bits to exactly the
+  // 24 or 40 payload bytes that follow, so only a bound taken before
+  // multiplying stops the reader from allocating 2^62 entries.
+  for (const uint32_t version :
+       {kGraphFileVersion, kGraphFileVersionWeighted}) {
+    const uint64_t n = 1;
+    const uint64_t arr = (uint64_t{1} << 62) + 2;
+    std::string bytes(kGraphFileMagic, sizeof(kGraphFileMagic));
+    bytes.append(reinterpret_cast<const char*>(&version), sizeof(version));
+    bytes.append(reinterpret_cast<const char*>(&n), sizeof(n));
+    bytes.append(reinterpret_cast<const char*>(&arr), sizeof(arr));
+    bytes.append(version == kGraphFileVersion ? 24 : 40, '\0');
+    ASSERT_EQ(bytes.size(), version == kGraphFileVersion ? 48u : 64u);
+    std::stringstream in(bytes);
+    auto result = ReadGraphBinary(in);
+    ASSERT_FALSE(result.ok()) << "version " << version;
+    EXPECT_TRUE(result.status().IsIOError()) << result.status().message();
+  }
 }
 
 TEST(GraphSerializeTest, FileRoundTrip) {
