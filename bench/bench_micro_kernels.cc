@@ -7,6 +7,7 @@
 //   - Bron-Kerbosch clique enumeration (why CFinder is slow)
 //   - greedy local search: per-climb cost against graph size, and the
 //     weighted climber
+//   - one early-halting RunOca, shaped like a recursive tree's subgraph run
 //   - the .ocac snapshot writer
 //   - full structural validation of an lfr_flat-shaped graph
 
@@ -16,12 +17,14 @@
 #include <cmath>
 #include <ostream>
 #include <streambuf>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "baselines/bron_kerbosch.h"
 #include "core/community_state.h"
 #include "core/local_search.h"
+#include "core/oca.h"
 #include "core/recursive_hierarchy.h"
 #include "gen/erdos_renyi.h"
 #include "gen/lfr.h"
@@ -29,6 +32,7 @@
 #include "gen/weight_assign.h"
 #include "graph/graph_builder.h"
 #include "graph/graph_checks.h"
+#include "graph/subgraph.h"
 #include "io/community_serialize.h"
 #include "spectral/csr_matvec.h"
 #include "spectral/extreme_eigen.h"
@@ -421,6 +425,46 @@ BENCHMARK(BM_LocalSearchWeighted)
     ->Arg(1)
     ->Arg(2)
     ->Unit(benchmark::kMillisecond);
+
+// Subgraph runs of a recursive tree: serial RunOca on the induced
+// subgraph of NestedBenchGraph()'s first super community (nodes 0-159),
+// with the tree's halting options and a supplied c, as the tree hands
+// each subgraph run the c it solved. One iteration is 8 runs, seeds 1-8:
+// such runs halt 5-24 seeds (10 on average) into their first 64-seed
+// batch, so the row prices the seeds a run climbs past its halt (none,
+// when a slot is climbed only once the loop reads it). Counters: climbs
+// and seeds over the 8 runs.
+void BM_RunOcaEarlyHalt(benchmark::State& state) {
+  static const oca::Graph* super = [] {
+    std::vector<oca::NodeId> nodes(160);
+    for (oca::NodeId v = 0; v < nodes.size(); ++v) nodes[v] = v;
+    return new oca::Graph(
+        oca::InducedSubgraph(NestedBenchGraph(), nodes).value().graph);
+  }();
+  oca::OcaOptions opt;
+  opt.coupling_constant = oca::ClampCouplingToAdmissible(
+      oca::ComputeCouplingConstant(*super).value());
+  opt.halting.max_seeds = super->num_nodes() * 3;
+  opt.halting.target_coverage = 0.98;
+  opt.halting.stagnation_window = 150;
+  size_t climbs = 0;
+  size_t seeds = 0;
+  for (auto _ : state) {
+    climbs = 0;
+    seeds = 0;
+    for (opt.seed = 1; opt.seed <= 8; ++opt.seed) {
+      oca::OcaResult result = oca::RunOca(*super, opt).value();
+      benchmark::DoNotOptimize(result.cover);
+      climbs += result.stats.climbs;
+      seeds += result.stats.seeds_expanded;
+    }
+  }
+  state.counters["climbs"] = static_cast<double>(climbs);
+  state.counters["seeds"] = static_cast<double>(seeds);
+  state.SetLabel("n=" + std::to_string(super->num_nodes()) +
+                 " m=" + std::to_string(super->num_edges()));
+}
+BENCHMARK(BM_RunOcaEarlyHalt)->Unit(benchmark::kMillisecond);
 
 void BM_BronKerbosch(benchmark::State& state) {
   oca::Rng rng(11);

@@ -8,8 +8,7 @@
 //
 //   $ ./build/examples/store_query --store=communities.ocac --dump
 //   $ ./build/examples/store_query --host=127.0.0.1 --port=4321 --dump
-//   $ ./build/examples/store_query --store=communities.ocac \
-//         --req="SIBLINGS 17 1"
+//   $ ./build/examples/store_query --store=communities.ocac --req="SIBLINGS 17 1"
 
 #include <cstdio>
 #include <cstdlib>

@@ -108,8 +108,12 @@ Result<OcaResult> RunOca(const Graph& graph, const OcaOptions& options) {
   }
   // Batch size is independent of the thread count so that serial and
   // parallel runs draw identical seed sequences and produce identical
-  // covers: seeds are drawn sequentially up-front, expanded (possibly
-  // concurrently), then aggregated in slot order.
+  // covers: each batch's seeds are drawn sequentially up-front, then
+  // expanded and aggregated in slot order. A pooled run climbs the whole
+  // batch ahead to keep its workers busy; a serial run climbs a slot
+  // only when the aggregation reaches it, so the slots after a halt are
+  // never climbed. Either way every aggregated slot holds the same
+  // climb, because a climb depends only on (graph, seed set, options).
   const size_t batch = std::max<size_t>(options.batch_size, 1);
 
   std::unordered_set<uint64_t> seen_hashes;
@@ -147,9 +151,20 @@ Result<OcaResult> RunOca(const Graph& graph, const OcaOptions& options) {
       break;
     }
 
-    auto expansions = ExpandSeedBatch(graph, seed_sets, search, pool.get());
+    std::vector<LocalSearchResult> expansions;
+    if (pool != nullptr) {
+      expansions = ExpandSeedBatch(graph, seed_sets, search, pool.get());
+      result.stats.climbs += expansions.size();
+    }
 
-    for (auto& expansion : expansions) {
+    for (size_t i = 0; i < seed_sets.size(); ++i) {
+      LocalSearchResult expansion;
+      if (pool != nullptr) {
+        expansion = std::move(expansions[i]);
+      } else {
+        expansion = ExpandSeed(graph, seed_sets[i], search);
+        ++result.stats.climbs;
+      }
       // A seed is "novel" for the stagnation criterion only when its
       // community covers at least one new node: distinct-hash near
       // duplicates of known communities (which the merge postprocessing

@@ -37,6 +37,12 @@ struct OcaRunStats {
   size_t spectral_iterations = 0;   // Lanczos steps spent resolving c
                                     // (0: supplied or engine cache hit)
   size_t seeds_expanded = 0;
+  /// GreedyLocalSearch calls the run made. A serial run climbs exactly
+  /// the seeds it records (== seeds_expanded); a pooled run climbs whole
+  /// batches ahead, so it can climb up to batch_size - 1 seeds past the
+  /// halt. Depends on the thread count, so Digest() and .ocac leave it
+  /// out.
+  size_t climbs = 0;
   size_t raw_communities = 0;       // distinct local maxima before merging
   size_t discarded_small = 0;       // below min_community_size
   std::string halting_reason;

@@ -56,7 +56,11 @@ struct OcaOptions {
 
   /// Worker threads for seed expansion (1 = serial; 0 = hardware).
   size_t num_threads = 1;
-  /// Seeds expanded per scheduling batch in parallel mode.
+  /// Seeds drawn per batch, in every mode and independent of the thread
+  /// count, so every run draws the same seeds. A serial run climbs a
+  /// drawn seed only when its seed loop reaches it; a pooled run climbs
+  /// the whole batch ahead to feed its workers, up to batch_size - 1
+  /// climbs past the halt (OcaRunStats::climbs).
   size_t batch_size = 64;
 };
 

@@ -108,7 +108,10 @@ struct RecursiveHierarchyOptions {
   /// byte-identical for every value (see Digest()). Worker engines run
   /// their mat-vec serially (sibling-level parallelism replaces it; the
   /// fixed-block reduction makes results identical either way), while
-  /// base.num_threads still applies inside each subgraph's OCA run.
+  /// base.num_threads still applies inside each subgraph's OCA run:
+  /// base.num_threads > 1 gives every subgraph run its own pool, which
+  /// climbs whole seed batches ahead, although a subgraph run typically
+  /// halts a few seeds into its first batch (OcaRunStats::climbs).
   size_t num_threads = 0;
 
   /// Test-only fault injection: when set, called right before each

@@ -38,9 +38,10 @@ struct SeedingOptions {
   double neighbor_keep_probability = 0.5;
 };
 
-/// Tracks covered nodes and produces seed sets. Not thread-safe; the
-/// parallel driver gives each worker its own generator and merges
-/// coverage between batches.
+/// Tracks covered nodes and produces seed sets. Not thread-safe, and
+/// never shared: RunOca keeps one Seeder on its calling thread, which
+/// draws every seed, serial or pooled, and marks coverage after each
+/// expansion its seed loop records.
 class Seeder {
  public:
   Seeder(const Graph& graph, const SeedingOptions& options, Rng rng);

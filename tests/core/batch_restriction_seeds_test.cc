@@ -119,7 +119,9 @@ TEST(BatchRestrictionSeedsTest, MatchesNaiveSingleVectorPolish) {
           << "child " << j << " entry " << t;
       norm_sq += batched[j][t] * batched[j][t];
     }
-    if (!batched[j].empty()) EXPECT_NEAR(norm_sq, 1.0, 1e-12);
+    if (!batched[j].empty()) {
+      EXPECT_NEAR(norm_sq, 1.0, 1e-12);
+    }
   }
 }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "gen/daisy.h"
 #include "gen/lfr.h"
 #include "metrics/theta.h"
@@ -71,14 +74,115 @@ TEST(OcaTest, DeterministicAcrossRuns) {
   EXPECT_EQ(a.stats.seeds_expanded, b.stats.seeds_expanded);
 }
 
+/// A 300-node LFR graph with sharp communities.
+const Graph& LfrGraph300() {
+  static const Graph* graph = [] {
+    LfrOptions lfr;
+    lfr.num_nodes = 300;
+    lfr.average_degree = 12.0;
+    lfr.max_degree = 30;
+    lfr.mixing = 0.15;
+    lfr.min_community = 15;
+    lfr.max_community = 50;
+    lfr.seed = 5;
+    return new Graph(GenerateLfr(lfr).value().graph);
+  }();
+  return *graph;
+}
+
+/// One run of LfrGraph300() per halting reason, each with only its own
+/// criterion enabled. Coverage and stagnation fire partway through the
+/// first 64-seed batch, max_seeds = 70 six seeds into the second, and
+/// exhaustion at the top of a batch (that run keeps a seed budget it
+/// never reaches, since a run with no criterion at all is rejected).
+struct HaltingCase {
+  std::string reason;
+  OcaOptions options;
+};
+
+std::vector<HaltingCase> HaltingCases() {
+  OcaOptions base;
+  base.seed = 3;
+  base.halting.max_seeds = 0;
+  base.halting.target_coverage = 2.0;
+  base.halting.stagnation_window = 0;
+  std::vector<HaltingCase> cases(4, {"", base});
+  cases[0].reason = "coverage";
+  cases[0].options.halting.target_coverage = 0.9;
+  cases[1].reason = "stagnation";
+  cases[1].options.halting.stagnation_window = 10;
+  cases[2].reason = "max_seeds";
+  cases[2].options.halting.max_seeds = 70;
+  cases[3].reason = "seeds_exhausted";
+  cases[3].options.halting.max_seeds = 10000;
+  return cases;
+}
+
+TEST(OcaTest, SerialRunClimbsOnlyTheSeedsItRecords) {
+  for (const HaltingCase& hc : HaltingCases()) {
+    SCOPED_TRACE(hc.reason);
+    auto r = RunOca(LfrGraph300(), hc.options).value();
+    ASSERT_EQ(r.stats.halting_reason, hc.reason);
+    if (hc.reason == "coverage" || hc.reason == "stagnation") {
+      EXPECT_LT(r.stats.seeds_expanded, hc.options.batch_size);
+    }
+    EXPECT_GT(r.stats.seeds_expanded, 0u);
+    EXPECT_EQ(r.stats.climbs, r.stats.seeds_expanded);
+  }
+}
+
+TEST(OcaTest, PooledRunClimbsAtMostOneBatchAhead) {
+  for (const HaltingCase& hc : HaltingCases()) {
+    for (size_t threads : {2, 4}) {
+      SCOPED_TRACE(hc.reason + " threads=" + std::to_string(threads));
+      OcaOptions opt = hc.options;
+      opt.num_threads = threads;
+      auto r = RunOca(LfrGraph300(), opt).value();
+      EXPECT_GE(r.stats.climbs, r.stats.seeds_expanded);
+      EXPECT_LE(r.stats.climbs,
+                r.stats.seeds_expanded + opt.batch_size - 1);
+    }
+  }
+}
+
+/// Every field of OcaRunStats that does not depend on the thread count
+/// or the clock.
+void ExpectSameDeterministicStats(const OcaRunStats& a, const OcaRunStats& b) {
+  EXPECT_EQ(a.coupling_constant, b.coupling_constant);
+  EXPECT_EQ(a.lambda_min, b.lambda_min);
+  EXPECT_EQ(a.spectral_iterations, b.spectral_iterations);
+  EXPECT_EQ(a.seeds_expanded, b.seeds_expanded);
+  EXPECT_EQ(a.raw_communities, b.raw_communities);
+  EXPECT_EQ(a.discarded_small, b.discarded_small);
+  EXPECT_EQ(a.halting_reason, b.halting_reason);
+  EXPECT_EQ(a.coverage_fraction, b.coverage_fraction);
+  EXPECT_EQ(a.merge.rounds, b.merge.rounds);
+  EXPECT_EQ(a.merge.merges, b.merge.merges);
+  EXPECT_EQ(a.merge.dropped_small, b.merge.dropped_small);
+}
+
 TEST(OcaTest, ParallelMatchesSerial) {
-  Graph g = KarateClub();
-  OcaOptions serial = SmallGraphOptions(11);
-  OcaOptions parallel = SmallGraphOptions(11);
-  parallel.num_threads = 4;
-  auto a = RunOca(g, serial).value();
-  auto b = RunOca(g, parallel).value();
-  EXPECT_EQ(a.cover, b.cover);
+  const Graph karate = KarateClub();
+  struct Run {
+    std::string name;
+    const Graph* graph;
+    OcaOptions options;
+  };
+  std::vector<Run> runs = {{"karate", &karate, SmallGraphOptions(11)}};
+  for (const HaltingCase& hc : HaltingCases()) {
+    runs.push_back({hc.reason, &LfrGraph300(), hc.options});
+  }
+  for (const Run& run : runs) {
+    auto a = RunOca(*run.graph, run.options).value();
+    for (size_t threads : {2, 4}) {
+      SCOPED_TRACE(run.name + " threads=" + std::to_string(threads));
+      OcaOptions parallel = run.options;
+      parallel.num_threads = threads;
+      auto b = RunOca(*run.graph, parallel).value();
+      EXPECT_EQ(a.cover, b.cover);
+      ExpectSameDeterministicStats(a.stats, b.stats);
+    }
+  }
 }
 
 TEST(OcaTest, EmptyGraphErrors) {

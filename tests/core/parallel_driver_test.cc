@@ -51,6 +51,25 @@ TEST(ExpandSeedBatchTest, InvalidSeedYieldsEmptySlot) {
   EXPECT_TRUE(results[2].community.empty());  // out of range -> error slot
 }
 
+// A serial RunOca climbs one slot at a time with ExpandSeed, a pooled
+// one the whole batch with ExpandSeedBatch; both must give each slot
+// the same result, failed climbs included.
+TEST(ExpandSeedBatchTest, SlotsMatchExpandSeed) {
+  Graph g = testing::KarateClub();
+  std::vector<Community> seeds = {{0}, {}, {99}, {5, 6}, {33, 32, 8}};
+  ThreadPool pool(2);
+  auto batch = ExpandSeedBatch(g, seeds, Options(g), &pool);
+  ASSERT_EQ(batch.size(), seeds.size());
+  for (size_t i = 0; i < seeds.size(); ++i) {
+    LocalSearchResult one = ExpandSeed(g, seeds[i], Options(g));
+    EXPECT_EQ(one.community, batch[i].community) << "slot " << i;
+    EXPECT_EQ(one.fitness, batch[i].fitness) << "slot " << i;
+    EXPECT_EQ(one.steps, batch[i].steps) << "slot " << i;
+  }
+  EXPECT_TRUE(batch[1].community.empty());
+  EXPECT_TRUE(batch[2].community.empty());
+}
+
 TEST(ExpandSeedBatchTest, EmptyBatch) {
   Graph g = TwoCliquesBridge();
   ThreadPool pool(2);

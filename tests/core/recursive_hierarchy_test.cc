@@ -257,6 +257,26 @@ TEST(RecursiveHierarchyTest, DeterministicPerSeed) {
   }
 }
 
+// Every run of a serial tree, the top-level one and each subgraph run,
+// climbs exactly the seeds it records, although subgraph runs halt a
+// few seeds into their first batch.
+TEST(RecursiveHierarchyTest, SerialTreeClimbsOnlyRecordedSeeds) {
+  auto bench = MixedScaleGraph();
+  auto tree = BuildRecursiveHierarchy(bench.graph, RecursiveOptions())
+                  .value();
+  size_t climbs = tree.root_stats.climbs;
+  size_t seeds = tree.root_stats.seeds_expanded;
+  size_t subgraph_runs = 0;
+  for (const RecursiveCommunity& node : tree.nodes) {
+    climbs += node.split_stats.climbs;
+    seeds += node.split_stats.seeds_expanded;
+    if (node.SubgraphSolved()) ++subgraph_runs;
+  }
+  ASSERT_GT(subgraph_runs, 0u);
+  EXPECT_GT(seeds, 0u);
+  EXPECT_EQ(climbs, seeds);
+}
+
 TEST(RecursiveHierarchyTest, InvalidOptionsError) {
   Graph g = TwoCliquesBridge();
   RecursiveHierarchyOptions opt = RecursiveOptions();
