@@ -1,7 +1,7 @@
 // Micro-kernel benchmarks (DESIGN.md experiment A2): the primitives whose
 // cost model justifies the paper's complexity claims.
 //
-//   - power-method iteration (c = -1/lambda_min resolution)
+//   - the CSR mat-vec and the coupling solve (c = -1/lambda_min)
 //   - incremental delta-eval vs naive full re-evaluation of the fitness
 //   - CommunityState add/remove churn
 //   - Bron-Kerbosch clique enumeration (why CFinder is slow)
@@ -35,7 +35,6 @@
 #include "graph/subgraph.h"
 #include "io/community_serialize.h"
 #include "spectral/csr_matvec.h"
-#include "spectral/extreme_eigen.h"
 #include "spectral/spectral_engine.h"
 #include "util/random.h"
 
@@ -51,6 +50,26 @@ const oca::Graph& LfrGraph() {
     opt.min_community = 20;
     opt.max_community = 80;
     opt.seed = 9;
+    return new oca::Graph(oca::GenerateLfr(opt).value().graph);
+  }();
+  return *graph;
+}
+
+/// An LFR graph shaped like the e2e lfr_flat workload's (n = 100,000,
+/// mean degree 20, max 60, mu = 0.3, 10% of nodes in two communities):
+/// 49 mat-vec row blocks (MatVecBlockRows).
+const oca::Graph& LfrFlatGraph() {
+  static const oca::Graph* graph = [] {
+    oca::LfrOptions opt;
+    opt.num_nodes = 100000;
+    opt.average_degree = 20.0;
+    opt.max_degree = 60;
+    opt.mixing = 0.3;
+    opt.min_community = 20;
+    opt.max_community = 100;
+    opt.overlapping_nodes = opt.num_nodes / 10;
+    opt.overlap_memberships = 2;
+    opt.seed = 1;
     return new oca::Graph(oca::GenerateLfr(opt).value().graph);
   }();
   return *graph;
@@ -203,15 +222,15 @@ void BM_MatVecReordered(benchmark::State& state) {
 BENCHMARK(BM_MatVecReordered);
 
 // Parallel mat-vec scaling: the engine's fixed-block pooled kernel at
-// 1/2/4 workers over the same graph. Results are bit-identical across
-// thread counts (fixed-block reductions), so this measures speed only.
-// The bench container is often 1-core; the CI thread-matrix job on a
-// multi-core runner is where the speedup is actually recorded.
+// 1/2/4 workers over the lfr_flat-shaped graph (49 row blocks; a graph of
+// one block never pools). Results are bit-identical across thread counts
+// (fixed-block reductions), so this measures speed only. The bench
+// container is often 1-core; the CI thread-matrix job on a multi-core
+// runner is where the speedup is actually recorded.
 void BM_EngineMatVecThreads(benchmark::State& state) {
-  const oca::Graph& g = LfrGraph();
+  const oca::Graph& g = LfrFlatGraph();
   oca::SpectralEngineOptions opt;
   opt.num_threads = static_cast<size_t>(state.range(0));
-  opt.parallel_min_edges = 0;  // force the pooled path even at this size
   oca::SpectralEngine engine(opt);
   std::vector<double> x(g.num_nodes(), 1.0);
   std::vector<double> y(g.num_nodes(), 0.0);
@@ -245,17 +264,6 @@ void BM_CouplingConstantCached(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CouplingConstantCached);
-
-// Both extremes at the tight value tolerance (1e-7) — the path spectral
-// analyses use; slower than the coupling-targeted stop by design.
-void BM_ExtremeEigenvalues(benchmark::State& state) {
-  const oca::Graph& g = LfrGraph();
-  for (auto _ : state) {
-    auto eig = oca::ComputeExtremeEigenvalues(g);
-    benchmark::DoNotOptimize(eig);
-  }
-}
-BENCHMARK(BM_ExtremeEigenvalues);
 
 // The headline kernel: scoring one candidate move. Incremental delta
 // evaluation is O(1); the naive alternative re-scans the subset.
@@ -564,28 +572,14 @@ BENCHMARK(BM_WriteCommunityStore)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
-// ValidateGraph, the deep check OpenMmapGraph runs on every open, on an
-// LFR graph shaped like the e2e lfr_flat workload's (n = 100,000, mean
-// degree 20, max 60, mu = 0.3, 10% of nodes in two communities). Arg:
-// 0 = unweighted; 1 = AssignWeights hash weights, which adds the weight
-// checks and a third array. items/sec counts neighbor entries.
+// ValidateGraph, the deep check OpenMmapGraph runs on every open, on
+// LfrFlatGraph(). Arg: 0 = unweighted; 1 = AssignWeights hash weights,
+// which adds the weight checks and a third array. items/sec counts
+// neighbor entries.
 void BM_ValidateGraph(benchmark::State& state) {
-  static const oca::Graph* flat = [] {
-    oca::LfrOptions opt;
-    opt.num_nodes = 100000;
-    opt.average_degree = 20.0;
-    opt.max_degree = 60;
-    opt.mixing = 0.3;
-    opt.min_community = 20;
-    opt.max_community = 100;
-    opt.overlapping_nodes = opt.num_nodes / 10;
-    opt.overlap_memberships = 2;
-    opt.seed = 1;
-    return new oca::Graph(oca::GenerateLfr(opt).value().graph);
-  }();
   static const oca::Graph* weighted =
-      new oca::Graph(oca::AssignWeights(*flat).value());
-  const oca::Graph& g = state.range(0) == 0 ? *flat : *weighted;
+      new oca::Graph(oca::AssignWeights(LfrFlatGraph()).value());
+  const oca::Graph& g = state.range(0) == 0 ? LfrFlatGraph() : *weighted;
   for (auto _ : state) {
     oca::Status status = oca::ValidateGraph(g);
     if (!status.ok()) {

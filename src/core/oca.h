@@ -1,7 +1,7 @@
 // OCA: Overlapping Community Search (the paper's algorithm, Section IV).
 //
 // Pipeline:
-//   1. resolve the coupling constant c = -1/lambda_min (power method);
+//   1. resolve the coupling constant c = -1/lambda_min (SpectralEngine);
 //   2. repeatedly expand random seed neighborhoods by greedy maximization
 //      of the directed-Laplacian fitness L until the halting criterion
 //      fires — each local maximum is one community;

@@ -9,11 +9,9 @@
 #include "core/local_search.h"
 #include "core/merge_postprocess.h"
 #include "core/seeding.h"
-#include "spectral/power_method.h"
+#include "spectral/spectral_engine.h"
 
 namespace oca {
-
-class SpectralEngine;
 
 /// Everything OCA needs. Defaults are the paper's standard setup: random
 /// neighborhoods around uncovered seeds, directed-Laplacian fitness with
@@ -34,8 +32,10 @@ struct OcaOptions {
   /// engine's configured seed, not its history.
   SpectralEngine* engine = nullptr;
 
-  /// Coupling constant c. <= 0 means "compute -1/lambda_min by the power
-  /// method" (the paper's choice, the largest admissible value).
+  /// Coupling constant c. <= 0 means "compute -1/lambda_min with the
+  /// SpectralEngine's Lanczos solve" (the paper's choice, the largest
+  /// admissible value); `power_method` sets that solve's step budget,
+  /// tolerance and seed.
   double coupling_constant = 0.0;
   PowerMethodOptions power_method;
 

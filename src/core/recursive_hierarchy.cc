@@ -10,7 +10,6 @@
 
 #include "graph/subgraph.h"
 #include "metrics/similarity.h"
-#include "spectral/power_method.h"
 #include "spectral/spectral_engine.h"
 #include "util/random.h"
 #include "util/thread_pool.h"

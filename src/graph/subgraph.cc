@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <string>
-#include <unordered_map>
-
-#include "graph/graph_builder.h"
 
 namespace oca {
 
@@ -19,47 +16,30 @@ Result<Subgraph> InducedSubgraph(const Graph& graph,
                                    " out of range");
   }
 
-  std::unordered_map<NodeId, NodeId> to_local;
-  to_local.reserve(sorted.size() * 2);
-  for (NodeId i = 0; i < sorted.size(); ++i) {
-    to_local[sorted[i]] = i;
-  }
-
-  GraphBuilder builder(sorted.size());
+  // Local ids follow the sorted member list, so a parent row read in
+  // order yields its local row already sorted: each member neighbour is
+  // found by a lower_bound that starts at the previous hit.
   const bool weighted = graph.is_weighted();
-  for (NodeId local = 0; local < sorted.size(); ++local) {
-    NodeId original = sorted[local];
-    auto nbrs = graph.Neighbors(original);
-    auto wts = graph.Weights(original);  // empty when unweighted
+  const size_t n = sorted.size();
+  std::vector<uint64_t> offsets(n + 1, 0);
+  std::vector<NodeId> neighbors;
+  std::vector<double> weights;
+  for (size_t local = 0; local < n; ++local) {
+    auto nbrs = graph.Neighbors(sorted[local]);
+    auto wts = graph.Weights(sorted[local]);  // empty when unweighted
+    auto hit = sorted.begin();
     for (size_t e = 0; e < nbrs.size(); ++e) {
-      auto it = to_local.find(nbrs[e]);
-      if (it != to_local.end() && it->second > local) {
-        if (weighted) {
-          builder.AddEdge(local, it->second, wts[e]);
-        } else {
-          builder.AddEdge(local, it->second);
-        }
-      }
+      hit = std::lower_bound(hit, sorted.end(), nbrs[e]);
+      if (hit == sorted.end()) break;
+      if (*hit != nbrs[e]) continue;
+      neighbors.push_back(static_cast<NodeId>(hit - sorted.begin()));
+      if (weighted) weights.push_back(wts[e]);
     }
+    offsets[local + 1] = neighbors.size();
   }
-  OCA_ASSIGN_OR_RETURN(Graph sub, builder.Build());
-  return Subgraph{std::move(sub), std::move(sorted)};
-}
-
-size_t CountInternalEdges(const Graph& graph,
-                          const std::vector<NodeId>& nodes) {
-  std::vector<NodeId> sorted = nodes;
-  std::sort(sorted.begin(), sorted.end());
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-  size_t count = 0;
-  for (NodeId u : sorted) {
-    for (NodeId v : graph.Neighbors(u)) {
-      if (v > u && std::binary_search(sorted.begin(), sorted.end(), v)) {
-        ++count;
-      }
-    }
-  }
-  return count;
+  return Subgraph{Graph(std::move(offsets), std::move(neighbors),
+                        std::move(weights), {}),
+                  std::move(sorted)};
 }
 
 }  // namespace oca

@@ -20,12 +20,11 @@ struct Subgraph {
 };
 
 /// Extracts the subgraph induced by `nodes` (need not be sorted or unique;
-/// duplicates are ignored). O(sum of degrees of selected nodes).
+/// duplicates are ignored), writing its CSR rows straight from the
+/// parent's: weights carry over bit for bit. O(s log s + sum of degrees
+/// of selected nodes x log s) for s selected nodes.
 Result<Subgraph> InducedSubgraph(const Graph& graph,
                                  const std::vector<NodeId>& nodes);
-
-/// Counts edges internal to `nodes` without materializing the subgraph.
-size_t CountInternalEdges(const Graph& graph, const std::vector<NodeId>& nodes);
 
 }  // namespace oca
 

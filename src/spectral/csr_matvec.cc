@@ -191,6 +191,38 @@ void AdjacencyMatVecMultiRows(const Graph& graph, size_t begin, size_t end,
   MultiRows<false>(offs, nbr, nullptr, begin, end, x, y, k);
 }
 
+void AdjacencyMatVec(const Graph& graph, const std::vector<double>& x,
+                     std::vector<double>* y) {
+  if (x.size() != graph.num_nodes()) {
+    internal::KernelContractViolation(
+        "AdjacencyMatVec: x.size() != graph.num_nodes()");
+  }
+  if (y == nullptr) {
+    internal::KernelContractViolation("AdjacencyMatVec: output vector is null");
+  }
+  if (y == &x) {
+    internal::KernelContractViolation(
+        "AdjacencyMatVec: output must not alias x");
+  }
+  y->resize(graph.num_nodes());
+  AdjacencyMatVecRows(graph, 0, graph.num_nodes(), x.data(), y->data());
+}
+
+void AdjacencyMatVecMulti(const Graph& graph, const std::vector<double>& x,
+                          std::vector<double>* y, size_t k) {
+  const size_t n = graph.num_nodes();
+  if (k < 1 || x.size() != n * k) {
+    internal::KernelContractViolation(
+        "AdjacencyMatVecMulti: x.size() != graph.num_nodes() * k");
+  }
+  if (y == nullptr || y == &x) {
+    internal::KernelContractViolation(
+        "AdjacencyMatVecMulti: output vector is null or aliases x");
+  }
+  y->resize(n * k);
+  AdjacencyMatVecMultiRows(graph, 0, n, x.data(), y->data(), k);
+}
+
 size_t MatVecBlockRows(size_t n) {
   // One block below the threshold: a 2048-row mat-vec is microseconds
   // of work, not worth partition bookkeeping. Above it, target ~64

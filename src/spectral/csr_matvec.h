@@ -1,11 +1,11 @@
 // The one CSR adjacency row kernel behind every spectral mat-vec.
 //
-// Every adjacency product in the library — the free AdjacencyMatVec
-// wrappers, SpectralEngine::MatVec, and the engine's fused
-// mat-vec+Rayleigh Lanczos step — runs through the row-range entry
-// points below, and they share one row loop (the fused variant
-// additionally accumulates sum_u y[u]*x[u] over its row range), so the
-// products cannot drift apart.
+// Every adjacency product in the library — the vector-level
+// AdjacencyMatVec/AdjacencyMatVecMulti below, SpectralEngine::MatVec,
+// and the engine's fused mat-vec+Rayleigh Lanczos step — runs through
+// the row-range entry points below, and they share one row loop (the
+// fused variant additionally accumulates sum_u y[u]*x[u] over its row
+// range), so the products cannot drift apart.
 //
 // Operation order: each row's neighbor sum is four striped partial sums
 // over the largest 4-multiple prefix of the row (lane j accumulates the
@@ -37,6 +37,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "graph/graph.h"
 
@@ -78,6 +79,22 @@ double AdjacencyMatVecRowsFused(const Graph& graph, size_t begin, size_t end,
 /// single-vector AdjacencyMatVecRows call on that column.
 void AdjacencyMatVecMultiRows(const Graph& graph, size_t begin, size_t end,
                               const double* x, double* y, size_t k);
+
+// Vector-level products over the whole graph, with their own checked
+// contract: x holds exactly graph.num_nodes() entries (times k), y is
+// not null and does not alias x, and y is resized to fit (previous
+// contents are overwritten).
+
+/// y = A x for the graph's adjacency matrix (y is resized to n).
+void AdjacencyMatVec(const Graph& graph, const std::vector<double>& x,
+                     std::vector<double>* y);
+
+/// Y = A X for k interleaved right-hand sides in ONE CSR sweep
+/// (x.size() == n * k, node-major: column j of node v at x[v*k + j]).
+/// y is resized to n * k. Column j is bit-identical to AdjacencyMatVec
+/// on that column.
+void AdjacencyMatVecMulti(const Graph& graph, const std::vector<double>& x,
+                          std::vector<double>* y, size_t k);
 
 /// Deterministic row-block width for an n-node mat-vec: a pure
 /// function of n alone (never of thread count), so the block partition

@@ -20,6 +20,10 @@ constexpr size_t kMinStepsBeforeStop = 12;
 /// Cache entries beyond this are evicted FIFO.
 constexpr size_t kMaxCacheEntries = 64;
 
+/// Directed-entry count (2m) below which the mat-vec stays serial even
+/// when num_threads > 1 and the graph has several row blocks.
+constexpr size_t kParallelMinEdges = size_t{1} << 16;
+
 double Norm2(const std::vector<double>& x) {
   double s = 0.0;
   for (double v : x) s += v * v;
@@ -28,38 +32,23 @@ double Norm2(const std::vector<double>& x) {
 
 }  // namespace
 
-/// Per-end (lambda_min / lambda_max) convergence tracker: the raw Ritz
-/// value, its Aitken-extrapolated refinement, and the checkpoint history
-/// the extrapolation runs on.
-struct SpectralEngine::EndTracker {
-  bool wanted = false;
-  bool converged = false;
-  double theta = 0.0;       // latest raw Ritz value
-  double value = 0.0;       // reported value (extrapolated when reliable)
-  double error_estimate = 0.0;  // |extrapolated - raw| at the stop
-  size_t converged_at = 0;  // Lanczos step of convergence
-  double hist[3] = {0.0, 0.0, 0.0};
-  int hist_count = 0;
-};
-
+/// What a pass-1 sweep found at the minimum end: the raw Ritz value,
+/// its Aitken-extrapolated refinement and the error estimate the
+/// coupling bias uses.
 struct SpectralEngine::SweepOutcome {
-  EndTracker min_end;
-  EndTracker max_end;
+  bool converged = false;
+  double theta = 0.0;           // latest raw Ritz value
+  double value = 0.0;           // reported value (extrapolated when reliable)
+  double error_estimate = 0.0;  // |extrapolated - raw| at the stop
   size_t steps = 0;  // Lanczos steps taken (== size of the tridiagonal)
 };
 
-SpectralEngineOptions EngineOptionsFrom(const PowerMethodOptions& pm,
-                                        size_t max_steps) {
+SpectralEngineOptions ValueSolveOptionsFrom(const PowerMethodOptions& pm) {
   SpectralEngineOptions options;
   options.seed = pm.seed;
-  options.value_tolerance = pm.tolerance;
   options.coupling_tolerance = pm.coupling_tolerance;
-  options.max_steps = max_steps;
+  options.max_steps = std::max<size_t>(2 * pm.max_iterations, 128);
   return options;
-}
-
-SpectralEngineOptions ValueSolveOptionsFrom(const PowerMethodOptions& pm) {
-  return EngineOptionsFrom(pm, std::max<size_t>(2 * pm.max_iterations, 128));
 }
 
 SpectralEngine::SpectralEngine(const SpectralEngineOptions& options)
@@ -73,8 +62,11 @@ size_t SpectralEngine::ResolvedThreads() const {
 }
 
 bool SpectralEngine::UseParallel(const Graph& graph) const {
-  return ResolvedThreads() > 1 &&
-         graph.neighbor_array().size() >= options_.parallel_min_edges;
+  // A graph of one row block (MatVecBlockRows) has nothing to share out:
+  // the pool would only add a hand-off.
+  const size_t n = graph.num_nodes();
+  return ResolvedThreads() > 1 && n > MatVecBlockRows(n) &&
+         graph.neighbor_array().size() >= kParallelMinEdges;
 }
 
 Status SpectralEngine::ValidateGraph(const Graph& graph) const {
@@ -195,12 +187,11 @@ size_t SpectralEngine::SturmCountBelow(size_t k, double x) const {
   return count;
 }
 
-double SpectralEngine::BisectExtreme(size_t k, bool smallest, double lo,
-                                     double hi, double abs_tol) const {
+double SpectralEngine::BisectExtreme(size_t k, double lo, double hi,
+                                     double abs_tol) const {
   for (int iter = 0; iter < 200 && hi - lo > abs_tol; ++iter) {
     double mid = 0.5 * (lo + hi);
-    size_t below = SturmCountBelow(k, mid);
-    if (smallest ? below >= 1 : below >= k) {
+    if (SturmCountBelow(k, mid) >= 1) {
       hi = mid;
     } else {
       lo = mid;
@@ -209,48 +200,45 @@ double SpectralEngine::BisectExtreme(size_t k, bool smallest, double lo,
   return 0.5 * (lo + hi);
 }
 
-double SpectralEngine::TridiagEigenvector(size_t k, double theta,
-                                          std::vector<double>* s) const {
-  tri_s_.assign(k, 1.0 / std::sqrt(static_cast<double>(k)));
+void SpectralEngine::TridiagEigenvector(size_t k, double theta,
+                                        std::vector<double>* s) const {
+  std::vector<double>& out = *s;
+  out.assign(k, 1.0 / std::sqrt(static_cast<double>(k)));
   if (k == 1) {
-    tri_s_[0] = 1.0;
-  } else {
-    // Two sweeps of inverse iteration with a Thomas solve; extreme Ritz
-    // values are well separated inside T, so this converges immediately.
-    for (int sweep = 0; sweep < 2; ++sweep) {
-      tri_d_.resize(k);
-      tri_rhs_ = tri_s_;
-      double d0 = alpha_[0] - theta;
-      if (std::fabs(d0) < 1e-12) d0 = d0 < 0.0 ? -1e-12 : 1e-12;
-      tri_d_[0] = d0;
-      for (size_t i = 1; i < k; ++i) {
-        double m = beta_[i - 1] / tri_d_[i - 1];
-        double di = alpha_[i] - theta - m * beta_[i - 1];
-        if (std::fabs(di) < 1e-12) di = di < 0.0 ? -1e-12 : 1e-12;
-        tri_d_[i] = di;
-        tri_rhs_[i] -= m * tri_rhs_[i - 1];
-      }
-      tri_s_[k - 1] = tri_rhs_[k - 1] / tri_d_[k - 1];
-      for (size_t i = k - 1; i-- > 0;) {
-        tri_s_[i] = (tri_rhs_[i] - beta_[i] * tri_s_[i + 1]) / tri_d_[i];
-      }
-      double norm = Norm2(tri_s_);
-      if (!(norm > 0.0) || !std::isfinite(norm)) {
-        tri_s_.assign(k, 1.0 / std::sqrt(static_cast<double>(k)));
-        break;
-      }
-      for (double& x : tri_s_) x /= norm;
-    }
+    out[0] = 1.0;
+    return;
   }
-  if (s != nullptr) *s = tri_s_;
-  return tri_s_[k - 1];
+  // Two sweeps of inverse iteration with a Thomas solve; the extreme Ritz
+  // value is well separated inside T, so this converges immediately.
+  for (int sweep = 0; sweep < 2; ++sweep) {
+    tri_d_.resize(k);
+    tri_rhs_ = out;
+    double d0 = alpha_[0] - theta;
+    if (std::fabs(d0) < 1e-12) d0 = d0 < 0.0 ? -1e-12 : 1e-12;
+    tri_d_[0] = d0;
+    for (size_t i = 1; i < k; ++i) {
+      double m = beta_[i - 1] / tri_d_[i - 1];
+      double di = alpha_[i] - theta - m * beta_[i - 1];
+      if (std::fabs(di) < 1e-12) di = di < 0.0 ? -1e-12 : 1e-12;
+      tri_d_[i] = di;
+      tri_rhs_[i] -= m * tri_rhs_[i - 1];
+    }
+    out[k - 1] = tri_rhs_[k - 1] / tri_d_[k - 1];
+    for (size_t i = k - 1; i-- > 0;) {
+      out[i] = (tri_rhs_[i] - beta_[i] * out[i + 1]) / tri_d_[i];
+    }
+    double norm = Norm2(out);
+    if (!(norm > 0.0) || !std::isfinite(norm)) {
+      out.assign(k, 1.0 / std::sqrt(static_cast<double>(k)));
+      return;
+    }
+    for (double& x : out) x /= norm;
+  }
 }
 
 SpectralEngine::SweepOutcome SpectralEngine::LanczosSweep(
-    const Graph& graph, bool need_min, bool need_max, double tol_min,
-    double tol_max, size_t step_cap, double residual_target,
-    const std::vector<double>* ritz_weights, size_t replay_steps,
-    std::vector<double>* eigenvector) {
+    const Graph& graph, const std::vector<double>* ritz_weights,
+    size_t replay_steps, std::vector<double>* eigenvector) {
   const size_t n = graph.num_nodes();
   EnsureWorkspace(n);
 
@@ -265,8 +253,10 @@ SpectralEngine::SweepOutcome SpectralEngine::LanczosSweep(
   const double glo = -gersh - 1.0;
   const double ghi = gersh + 1.0;
 
+  const double tol = options_.coupling_tolerance;
   const bool replay = ritz_weights != nullptr;
-  const size_t cap = replay ? replay_steps : std::max<size_t>(step_cap, 1);
+  const size_t cap =
+      replay ? replay_steps : std::max<size_t>(options_.max_steps, 1);
 
   std::copy(start_.begin(), start_.end(), v_.begin());
   std::fill(vprev_.begin(), vprev_.begin() + n, 0.0);
@@ -278,29 +268,29 @@ SpectralEngine::SweepOutcome SpectralEngine::LanczosSweep(
   Rng restart_rng(options_.seed ^ 0xA17C3B5Dull);
 
   SweepOutcome out;
-  out.min_end.wanted = need_min;
-  out.max_end.wanted = need_max;
-  if (replay && eigenvector != nullptr) eigenvector->assign(n, 0.0);
+  // The last three checkpoints' raw Ritz values, oldest first.
+  double hist[3] = {0.0, 0.0, 0.0};
+  int hist_count = 0;
+  if (replay) eigenvector->assign(n, 0.0);
 
-  auto check_end = [&](EndTracker* end, bool smallest, double tol,
-                       size_t k, size_t step, double current_beta) {
+  auto check_min = [&](size_t k, size_t step) {
     double scale_guess =
-        std::max(1.0, std::fabs(end->hist_count > 0 ? end->theta : gersh));
+        std::max(1.0, std::fabs(hist_count > 0 ? out.theta : gersh));
     double abs_tol = std::max(1e-13, 0.02 * tol * scale_guess);
-    double theta = BisectExtreme(k, smallest, glo, ghi, abs_tol);
-    end->theta = theta;
-    end->value = theta;
-    if (end->hist_count < 3) {
-      end->hist[end->hist_count++] = theta;
+    double theta = BisectExtreme(k, glo, ghi, abs_tol);
+    out.theta = theta;
+    out.value = theta;
+    if (hist_count < 3) {
+      hist[hist_count++] = theta;
     } else {
-      end->hist[0] = end->hist[1];
-      end->hist[1] = end->hist[2];
-      end->hist[2] = theta;
+      hist[0] = hist[1];
+      hist[1] = hist[2];
+      hist[2] = theta;
     }
-    if (step < kMinStepsBeforeStop || end->hist_count < 3) return;
+    if (step < kMinStepsBeforeStop || hist_count < 3) return;
     double scale = std::max(1.0, std::fabs(theta));
-    double d1 = end->hist[1] - end->hist[0];
-    double d2 = end->hist[2] - end->hist[1];
+    double d1 = hist[1] - hist[0];
+    double d2 = hist[2] - hist[1];
     // Raw stagnation gate: the Ritz sequence must already be moving at
     // the tolerance scale before extrapolation is trusted.
     if (std::fabs(d2) > 2.0 * tol * scale) return;
@@ -309,12 +299,12 @@ SpectralEngine::SweepOutcome SpectralEngine::LanczosSweep(
     double dd = d2 - d1;
     if (dd != 0.0 && std::fabs(d2) < std::fabs(d1)) {
       double cand = theta - d2 * d2 / dd;
-      // Extreme Ritz sequences are monotone (Cauchy interlacing); reject
-      // extrapolations that violate that or leave the Gershgorin hull.
-      bool monotone_ok = smallest ? cand <= theta + abs_tol
-                                  : cand >= theta - abs_tol;
-      if (monotone_ok && std::fabs(cand - theta) <= 50.0 * std::fabs(d2) &&
-          cand >= glo && cand <= ghi) {
+      // The smallest Ritz value falls monotonically (Cauchy interlacing);
+      // reject extrapolations that violate that or leave the Gershgorin
+      // hull.
+      if (cand <= theta + abs_tol &&
+          std::fabs(cand - theta) <= 50.0 * std::fabs(d2) && cand >= glo &&
+          cand <= ghi) {
         extrap = cand;
         extrap_accepted = true;
       }
@@ -326,14 +316,8 @@ SpectralEngine::SweepOutcome SpectralEngine::LanczosSweep(
     // before declaring convergence — a sequence plateauing at an interior
     // eigenvalue must not stop just because two checkpoints agree.
     if (!extrap_accepted && std::fabs(d2) > 0.25 * tol * scale) return;
-    if (residual_target > 0.0) {
-      // Eigenpair mode: additionally require the Ritz residual bound
-      // beta_k * |s_k| to be small so the reconstructed vector is good.
-      double s_last = TridiagEigenvector(k, theta, nullptr);
-      if (std::fabs(current_beta * s_last) > residual_target * scale) return;
-    }
-    end->converged = true;
-    end->value = extrap;
+    out.converged = true;
+    out.value = extrap;
     // Remaining-error bound for the conservative coupling bias: the
     // Aitken correction estimates the error of the RAW value; adding
     // half the last raw step covers the multi-mode case where the
@@ -341,16 +325,15 @@ SpectralEngine::SweepOutcome SpectralEngine::LanczosSweep(
     // covers a deceptively stagnant sequence whose correction shrank
     // faster than the true residual error. None of the three terms
     // costs a significant digit (each is <= tol * scale at the stop).
-    end->error_estimate =
+    out.error_estimate =
         std::max(err_est + 0.5 * std::fabs(d2), 0.05 * tol * scale);
-    end->converged_at = step;
   };
 
   double beta_prev = 0.0;
   for (size_t step = 1; step <= cap; ++step) {
     if (replay) {
       double wgt = (*ritz_weights)[step - 1];
-      if (eigenvector != nullptr && wgt != 0.0) {
+      if (wgt != 0.0) {
         double* y = eigenvector->data();
         for (size_t i = 0; i < n; ++i) y[i] += wgt * v_[i];
       }
@@ -372,36 +355,20 @@ SpectralEngine::SweepOutcome SpectralEngine::LanczosSweep(
 
     const bool breakdown = !(b > 1e-12 * std::max(1.0, gersh));
 
-    if (!replay) {
+    if (!replay &&
+        ((step % kCheckInterval == 0) || breakdown || step == cap)) {
       const size_t k = alpha_.size();
-      bool at_checkpoint =
-          (step % kCheckInterval == 0) || breakdown || step == cap;
-      if (at_checkpoint) {
-        if (need_min && !out.min_end.converged) {
-          check_end(&out.min_end, /*smallest=*/true, tol_min, k, step, b);
-        }
-        if (need_max && !out.max_end.converged) {
-          check_end(&out.max_end, /*smallest=*/false, tol_max, k, step, b);
-        }
-        if (breakdown && k >= n) {
-          // The Krylov blocks exhausted the whole space: every Ritz value
-          // is an exact eigenvalue, so the extremes are final (up to the
-          // bisection width, which becomes the error estimate).
-          for (EndTracker* end : {&out.min_end, &out.max_end}) {
-            if (end->wanted && !end->converged) {
-              double tol = end == &out.min_end ? tol_min : tol_max;
-              end->converged = true;
-              end->value = end->theta;
-              end->error_estimate = std::max(
-                  1e-13, 0.02 * tol * std::max(1.0, std::fabs(end->theta)));
-              end->converged_at = step;
-            }
-          }
-        }
-        bool done = (!need_min || out.min_end.converged) &&
-                    (!need_max || out.max_end.converged);
-        if (done) break;
+      check_min(k, step);
+      if (!out.converged && breakdown && k >= n) {
+        // The Krylov blocks exhausted the whole space: every Ritz value
+        // is an exact eigenvalue, so the minimum is final (up to the
+        // bisection width, which becomes the error estimate).
+        out.converged = true;
+        out.value = out.theta;
+        out.error_estimate =
+            std::max(1e-13, 0.02 * tol * std::max(1.0, std::fabs(out.theta)));
       }
+      if (out.converged) break;
     }
 
     if (breakdown) {
@@ -441,18 +408,13 @@ SpectralEngine::SweepOutcome SpectralEngine::LanczosSweep(
     }
   }
 
-  // A wanted end that ran out of steps gets a best-effort error scale —
-  // the last raw checkpoint step. This is NOT a bound (the remaining
+  // A sweep that ran out of steps gets a best-effort error scale — the
+  // last raw checkpoint step. This is NOT a bound (the remaining
   // geometric tail can exceed it); callers see converged == false and
   // the coupling bias at least leans the right way instead of trusting
   // the raw Ritz value verbatim.
-  if (!replay) {
-    for (EndTracker* end : {&out.min_end, &out.max_end}) {
-      if (end->wanted && !end->converged && end->hist_count >= 2) {
-        end->error_estimate = std::fabs(end->hist[end->hist_count - 1] -
-                                        end->hist[end->hist_count - 2]);
-      }
-    }
+  if (!replay && !out.converged && hist_count >= 2) {
+    out.error_estimate = std::fabs(hist[hist_count - 1] - hist[hist_count - 2]);
   }
 
   return out;
@@ -465,13 +427,7 @@ SpectralEngine::CacheEntry* SpectralEngine::FindEntry(const Graph& graph) {
   return nullptr;
 }
 
-const SpectralEngine::CacheEntry* SpectralEngine::FindEntry(
-    const Graph& graph) const {
-  return const_cast<SpectralEngine*>(this)->FindEntry(graph);
-}
-
-SpectralEngine::CacheEntry* SpectralEngine::TouchEntry(const Graph& graph) {
-  if (CacheEntry* found = FindEntry(graph)) return found;
+SpectralEngine::CacheEntry* SpectralEngine::AddEntry(const Graph& graph) {
   if (cache_.size() >= kMaxCacheEntries) {
     cache_.erase(cache_.begin());
   }
@@ -490,48 +446,6 @@ void SpectralEngine::ConsumeWarmStartOnCacheHit(size_t n) {
   if (warm_pending_ && warm_.size() == n) warm_pending_ = false;
 }
 
-Result<ExtremeEigenvalues> SpectralEngine::Extremes(const Graph& graph) {
-  if (Status s = ValidateGraph(graph); !s.ok()) return s;
-  if (CacheEntry* entry = FindEntry(graph); entry && entry->has_extremes) {
-    ++cache_hits_;
-    ConsumeWarmStartOnCacheHit(graph.num_nodes());
-    return entry->extremes;
-  }
-
-  PrepareStartVector(graph);
-  SweepOutcome sweep = LanczosSweep(
-      graph, /*need_min=*/true, /*need_max=*/true, options_.value_tolerance,
-      options_.value_tolerance, options_.max_steps, /*residual_target=*/0.0,
-      nullptr, 0, nullptr);
-
-  ExtremeEigenvalues out;
-  out.lambda_max = sweep.max_end.value;
-  out.lambda_min = sweep.min_end.value;
-  out.iterations_max =
-      sweep.max_end.converged ? sweep.max_end.converged_at : sweep.steps;
-  out.iterations_min =
-      sweep.min_end.converged ? sweep.min_end.converged_at : sweep.steps;
-  out.converged = sweep.max_end.converged && sweep.min_end.converged;
-
-  CacheEntry* entry = TouchEntry(graph);
-  entry->has_extremes = true;
-  entry->extremes = out;
-  // Seed the coupling cache only from a CONVERGED min end: the
-  // admissibility bias is only a guarantee then (an unconverged Ritz
-  // value sits above lambda_min by an unbounded tail, and a later
-  // CouplingConstant call would return the overshoot as a cache hit).
-  if (!entry->has_coupling && out.lambda_min < 0.0 &&
-      sweep.min_end.converged) {
-    double safe_min = out.lambda_min - sweep.min_end.error_estimate;
-    double c = ClampCouplingToAdmissible(-1.0 / safe_min);
-    if (c > 0.0) {
-      entry->coupling = {c, out.lambda_min, sweep.steps, out.converged};
-      entry->has_coupling = true;
-    }
-  }
-  return out;
-}
-
 Result<CouplingResult> SpectralEngine::CouplingConstant(const Graph& graph) {
   return CouplingConstantWithVector(graph, nullptr);
 }
@@ -540,8 +454,8 @@ Result<CouplingResult> SpectralEngine::CouplingConstantWithVector(
     const Graph& graph, std::vector<double>* eigenvector) {
   if (Status s = ValidateGraph(graph); !s.ok()) return s;
   const bool want_vector = eigenvector != nullptr;
-  if (CacheEntry* entry = FindEntry(graph); entry && entry->has_coupling &&
-      (!want_vector || !entry->min_eigenvector.empty())) {
+  if (CacheEntry* entry = FindEntry(graph);
+      entry && (!want_vector || !entry->min_eigenvector.empty())) {
     ++cache_hits_;
     ConsumeWarmStartOnCacheHit(graph.num_nodes());
     CouplingResult hit = entry->coupling;
@@ -551,12 +465,9 @@ Result<CouplingResult> SpectralEngine::CouplingConstantWithVector(
   }
 
   PrepareStartVector(graph);
-  SweepOutcome sweep = LanczosSweep(
-      graph, /*need_min=*/true, /*need_max=*/false,
-      options_.coupling_tolerance, options_.coupling_tolerance,
-      options_.max_steps, /*residual_target=*/0.0, nullptr, 0, nullptr);
+  SweepOutcome sweep = LanczosSweep(graph, nullptr, 0, nullptr);
 
-  double lambda_min = sweep.min_end.value;
+  double lambda_min = sweep.value;
   if (lambda_min >= 0.0) {
     return Status::Internal(
         "lambda_min must be negative for a graph with edges");
@@ -567,27 +478,27 @@ Result<CouplingResult> SpectralEngine::CouplingConstantWithVector(
   // (The seed path had the opposite failure mode: an unconverged
   // lambda_min OVERSHOT c.) If the sweep hit its step cap the bias is
   // only best-effort — converged == false signals that to callers.
-  double safe_min = lambda_min - sweep.min_end.error_estimate;
+  double safe_min = lambda_min - sweep.error_estimate;
   double c = ClampCouplingToAdmissible(-1.0 / safe_min);
   if (c <= 0.0) {
     return Status::Internal("coupling constant must be positive");
   }
 
-  CouplingResult result{c, lambda_min, sweep.steps, sweep.min_end.converged};
+  CouplingResult result{c, lambda_min, sweep.steps, sweep.converged};
   std::vector<double> vec;
   if (want_vector) {
     // Raw Ritz value: the reconstruction must match the basis that was
     // actually built, not the extrapolated refinement.
-    vec = ReconstructRitzVector(graph, sweep.min_end.theta);
+    vec = ReconstructRitzVector(graph, sweep.theta);
   }
-  CacheEntry* entry = TouchEntry(graph);
-  if (entry->has_coupling) {
+  CacheEntry* entry = FindEntry(graph);
+  if (entry != nullptr) {
     // A vector-less cache hit forced a re-sweep; keep the cached coupling
     // values so repeated calls agree exactly, and only adopt the vector.
     result = entry->coupling;
     result.iterations = sweep.steps;
   } else {
-    entry->has_coupling = true;
+    entry = AddEntry(graph);
     entry->coupling = result;
   }
   if (want_vector) {
@@ -595,26 +506,6 @@ Result<CouplingResult> SpectralEngine::CouplingConstantWithVector(
     *eigenvector = std::move(vec);
   }
   return result;
-}
-
-Result<EigenEstimate> SpectralEngine::EigenpairImpl(
-    const Graph& graph, const PowerMethodOptions& pm, bool smallest) {
-  if (Status s = ValidateGraph(graph); !s.ok()) return s;
-
-  const double tol = std::max(pm.tolerance, 1e-14);
-  const double residual_target = std::sqrt(tol);
-  PrepareStartVector(graph);
-  SweepOutcome sweep =
-      LanczosSweep(graph, smallest, !smallest, tol, tol, pm.max_iterations,
-                   residual_target, nullptr, 0, nullptr);
-  const EndTracker& end = smallest ? sweep.min_end : sweep.max_end;
-
-  EigenEstimate est;
-  est.eigenvalue = end.theta;  // raw Ritz value, consistent with the vector
-  est.iterations = sweep.steps;
-  est.converged = end.converged;
-  est.eigenvector = ReconstructRitzVector(graph, end.theta);
-  return est;
 }
 
 std::vector<double> SpectralEngine::ReconstructRitzVector(const Graph& graph,
@@ -625,7 +516,7 @@ std::vector<double> SpectralEngine::ReconstructRitzVector(const Graph& graph,
   std::vector<double> weights;
   TridiagEigenvector(k, theta, &weights);
   std::vector<double> vec;
-  LanczosSweep(graph, false, false, 0.0, 0.0, 0, 0.0, &weights, k, &vec);
+  LanczosSweep(graph, &weights, k, &vec);
   double norm = Norm2(vec);
   if (norm > 0.0 && std::isfinite(norm)) {
     for (double& x : vec) x /= norm;
@@ -639,20 +530,6 @@ std::vector<double> SpectralEngine::ReconstructRitzVector(const Graph& graph,
     for (double& x : vec) x = -x;
   }
   return vec;
-}
-
-Result<EigenEstimate> SpectralEngine::Dominant(const Graph& graph,
-                                               const PowerMethodOptions& pm) {
-  return EigenpairImpl(graph, pm, /*smallest=*/false);
-}
-
-Result<EigenEstimate> SpectralEngine::MinEigenpair(
-    const Graph& graph, const PowerMethodOptions& pm) {
-  OCA_ASSIGN_OR_RETURN(EigenEstimate est,
-                       EigenpairImpl(graph, pm, /*smallest=*/true));
-  CacheEntry* entry = TouchEntry(graph);
-  entry->min_eigenvector = est.eigenvector;
-  return est;
 }
 
 void SpectralEngine::SetWarmStart(std::span<const double> eigenvector) {
@@ -681,14 +558,6 @@ bool SpectralEngine::WarmStartFromParent(
   return true;
 }
 
-bool SpectralEngine::GetCachedMinEigenvector(const Graph& graph,
-                                             std::vector<double>* out) const {
-  const CacheEntry* entry = FindEntry(graph);
-  if (entry == nullptr || entry->min_eigenvector.empty()) return false;
-  *out = entry->min_eigenvector;
-  return true;
-}
-
 void SpectralEngine::Forget(const Graph& graph) {
   for (auto it = cache_.begin(); it != cache_.end(); ++it) {
     if (it->graph_id == graph.id()) {
@@ -698,14 +567,21 @@ void SpectralEngine::Forget(const Graph& graph) {
   }
 }
 
-void SpectralEngine::ClearCache() { cache_.clear(); }
-
 SpectralEngineSet::SpectralEngineSet(size_t count,
                                      const SpectralEngineOptions& options) {
   engines_.reserve(std::max<size_t>(1, count));
   for (size_t i = 0; i < std::max<size_t>(1, count); ++i) {
     engines_.push_back(std::make_unique<SpectralEngine>(options));
   }
+}
+
+Result<double> ComputeCouplingConstant(const Graph& graph,
+                                       const PowerMethodOptions& options) {
+  // A fresh engine per call: workspace reuse and caching belong to
+  // callers that hold an engine across calls (RunOca, BuildHierarchy).
+  SpectralEngine engine(ValueSolveOptionsFrom(options));
+  OCA_ASSIGN_OR_RETURN(CouplingResult result, engine.CouplingConstant(graph));
+  return result.c;
 }
 
 }  // namespace oca

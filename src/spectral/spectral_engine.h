@@ -1,13 +1,13 @@
-// SpectralEngine: the shared, workspace-reusing eigensolver behind every
-// spectral quantity in the OCA pipeline (lambda_max, lambda_min, and the
-// coupling constant c = -1/lambda_min).
+// SpectralEngine: the shared, workspace-reusing eigensolver behind the
+// one spectral quantity the OCA pipeline needs, the coupling constant
+// c = -1/lambda_min of the paper's Section II (and, for warm-start
+// chains, lambda_min's Ritz vector).
 //
 // Why an engine instead of free functions: the paper's pipeline resolves
-// spectral extremes repeatedly (once per OCA run, once per hierarchy
-// level, once per subgraph a caller explores), and the seed
-// implementation paid for a cold random start, a fixed 1e-7 eigenpair
-// tolerance, and two full power-method phases every time. The engine
-// amortizes all three:
+// c repeatedly (once per OCA run, once per hierarchy level, once per
+// subgraph a caller explores), and the seed implementation paid for a
+// cold random start, a fixed 1e-7 eigenpair tolerance, and two full
+// power-method phases every time. The engine amortizes all three:
 //
 //   * Workspaces (iteration vectors, reduction partials, recurrence
 //     coefficients) are owned by the engine and reused across calls —
@@ -16,39 +16,42 @@
 //     pipeline run pays for the spectral solve once; `SetWarmStart`
 //     seeds the next cold solve from a prior eigenvector (e.g. the
 //     parent hierarchy level's) instead of a random vector.
-//   * Convergence is adaptive: the solver targets relative error in the
-//     *value* the caller asked for (c only needs a few significant
-//     digits — see PowerMethodOptions) instead of iterating a fixed
-//     eigenpair tolerance to exhaustion.
+//   * Convergence is adaptive: the solver targets relative error in c
+//     itself (c only needs a few significant digits — see
+//     SpectralEngineOptions::coupling_tolerance) instead of iterating a
+//     fixed eigenpair tolerance to exhaustion.
 //
 // Algorithm: a shift-free Lanczos (Krylov) recurrence on the adjacency
-// matrix. One fused CSR pass per step produces both the mat-vec and the
-// Rayleigh coefficient; extreme Ritz values are tracked by Sturm-count
-// bisection inside Gershgorin degree bounds (the cheap spectral-radius
-// bound max-degree brackets every eigenvalue before any iteration), and
-// the Ritz sequence — the optimal Rayleigh quotients over the growing
-// Krylov space — is accelerated with Aitken-Delta^2 (Wynn-epsilon, first
-// column) extrapolation, which both sharpens the reported value and
-// supplies the stopping rule's error estimate. This reaches the spectral
-// edge orders of magnitude faster than shifted power iteration when the
-// edge gap is small (the common case on community graphs), which is what
-// makes the adaptive "few significant digits of c" stop safe: the
-// extrapolated value is typically *closer* to the true eigenvalue than
-// the seed path's fixed-tolerance answer.
+// matrix, tracking its minimum end only. One fused CSR pass per step
+// produces both the mat-vec and the Rayleigh coefficient; the smallest
+// Ritz value is found by Sturm-count bisection inside Gershgorin degree
+// bounds (the cheap spectral-radius bound max-degree brackets every
+// eigenvalue before any iteration), and the Ritz sequence — the optimal
+// Rayleigh quotients over the growing Krylov space — is accelerated
+// with Aitken-Delta^2 (Wynn-epsilon, first column) extrapolation, which
+// both sharpens the reported value and supplies the stopping rule's
+// error estimate. This reaches the spectral edge orders of magnitude
+// faster than shifted power iteration when the edge gap is small (the
+// common case on community graphs), which is what makes the adaptive
+// "few significant digits of c" stop safe: the extrapolated value is
+// typically *closer* to the true eigenvalue than the seed path's
+// fixed-tolerance answer.
 //
-// The mat-vec is parallelized over util/thread_pool above a size
-// threshold, with fixed-block reductions so results are bit-identical
-// across thread counts.
+// The mat-vec is parallelized over util/thread_pool when the graph has
+// at least two row blocks (MatVecBlockRows) and enough entries, with
+// fixed-block reductions so results are bit-identical across thread
+// counts.
 //
 // Thread-safety: an engine instance is NOT thread-safe; use one per
 // thread or guard externally. Cached entries are keyed by Graph::id(),
 // which copies and moves of a graph share and every new or reset graph
 // renews, so a graph built where a dead one lived never reads the dead
-// one's entry. `Forget`/`ClearCache` drop entries to bound the cache.
+// one's entry. `Forget` drops an entry to bound the cache.
 
 #ifndef OCA_SPECTRAL_SPECTRAL_ENGINE_H_
 #define OCA_SPECTRAL_SPECTRAL_ENGINE_H_
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <memory>
@@ -56,16 +59,51 @@
 #include <vector>
 
 #include "graph/graph.h"
-#include "spectral/extreme_eigen.h"
-#include "spectral/power_method.h"
+#include "spectral/csr_matvec.h"
 #include "util/result.h"
 
 namespace oca {
 
 class ThreadPool;
 
-/// Engine-wide configuration. The two tolerances are targets on the
-/// *relative error of the reported value*, not on eigenpair residuals.
+/// Largest coupling constant the pipeline accepts. The admissible range
+/// is 0 < c <= -1/lambda_min, and lambda_min <= -1 for any graph with an
+/// edge, so c < 1 always holds EXCEPT at the boundary: a triangle (or
+/// any graph whose adjacency lambda_min is exactly -1) yields
+/// -1/lambda_min = 1.0. The fitness treats c = 1 as degenerate, so every
+/// path that produces or accepts a coupling constant — supplied options,
+/// the engine's spectral resolution, and hierarchy resolution sweeps —
+/// clamps/validates against this one bound instead of hand-rolling its
+/// own epsilon.
+inline constexpr double kMaxCouplingConstant = 1.0 - 1e-9;
+
+/// Clamps a coupling value to the shared admissible bound. Use wherever
+/// a computed c could touch 1.0 (e.g. lambda_min == -1 exactly); the
+/// clamped value is what must be recorded/reported, so the clamp is
+/// explicit in results rather than hidden in a solver.
+inline double ClampCouplingToAdmissible(double c) {
+  return std::min(c, kMaxCouplingConstant);
+}
+
+/// Caller-facing convergence controls of the coupling solve
+/// (OcaOptions::power_method); ValueSolveOptionsFrom maps them onto
+/// SpectralEngineOptions.
+struct PowerMethodOptions {
+  /// Step budget: a solve may take max(2 * max_iterations, 128) Lanczos
+  /// steps (mat-vecs). c = -1/lambda_min only needs a few significant
+  /// digits, so the default favors speed.
+  size_t max_iterations = 300;
+  /// Target relative error of the coupling constant. c feeds the fitness
+  /// as a multiplicative weight, so ~4-5 significant digits (default)
+  /// are plenty; iterating a fixed 1e-7 eigenpair tolerance to
+  /// exhaustion is what made the seed's loop the pipeline's hottest
+  /// path.
+  double coupling_tolerance = 2e-5;
+  uint64_t seed = 0x5EED5EEDull;  // random start vector
+};
+
+/// Engine-wide configuration. The tolerance is a target on the
+/// *relative error of the reported value*, not on an eigenpair residual.
 struct SpectralEngineOptions {
   /// Target relative error of the coupling constant c (equivalently of
   /// lambda_min). The paper's pipeline only consumes a few significant
@@ -73,31 +111,21 @@ struct SpectralEngineOptions {
   /// PowerMethodOptions::coupling_tolerance so a held engine and the
   /// free-function wrappers resolve the same c by default.
   double coupling_tolerance = 2e-5;
-  /// Target relative error for Extremes() eigenvalues.
-  double value_tolerance = 1e-7;
-  /// Hard cap on Lanczos steps (mat-vecs) per solve.
-  size_t max_steps = 6000;
+  /// Hard cap on Lanczos steps (mat-vecs) per solve; the default is
+  /// ValueSolveOptionsFrom's budget for a default PowerMethodOptions.
+  size_t max_steps = 600;
   /// Seed for start vectors and breakdown restarts.
   uint64_t seed = 0x5EED5EEDull;
   /// Mat-vec worker threads (1 = serial, 0 = hardware concurrency).
   size_t num_threads = 1;
-  /// Directed-edge count (2m) below which the mat-vec stays serial even
-  /// when num_threads > 1.
-  size_t parallel_min_edges = 1u << 16;
 };
 
 /// The one mapping from caller-facing PowerMethodOptions to engine
-/// options, shared by every wrapper/call site so the translation cannot
-/// drift. `max_steps` is the call site's step-budget policy, stated
-/// explicitly: eigenpair entry points honor `pm.max_iterations` as-is,
-/// value-only solves typically grant `max(2 * pm.max_iterations, 128)`
-/// (the seed ran up to max_iterations per power-method phase).
-SpectralEngineOptions EngineOptionsFrom(const PowerMethodOptions& pm,
-                                        size_t max_steps);
-
-/// EngineOptionsFrom with the standard value-solve step budget,
-/// max(2 * pm.max_iterations, 128) — the one policy shared by every
-/// value-only entry point (RunOca, BuildHierarchy, the free wrappers).
+/// options, shared by every call site so the translation cannot drift:
+/// the seed and coupling tolerance carry over, and the step budget is
+/// max(2 * pm.max_iterations, 128) (the seed ran up to max_iterations
+/// per power-method phase). `ValueSolveOptionsFrom(PowerMethodOptions{})`
+/// equals `SpectralEngineOptions{}`.
 SpectralEngineOptions ValueSolveOptionsFrom(const PowerMethodOptions& pm);
 
 /// Outcome of a coupling-constant resolution.
@@ -117,9 +145,9 @@ class SpectralEngine {
   SpectralEngine& operator=(const SpectralEngine&) = delete;
 
   /// y = A x for the graph's adjacency matrix; x and y must hold
-  /// graph.num_nodes() entries and must not alias. Parallelized over the
-  /// engine's pool above the size threshold; results are identical for
-  /// every thread count.
+  /// graph.num_nodes() entries and must not alias. Pooled when the graph
+  /// has at least two row blocks and enough entries; results are
+  /// identical for every thread count.
   void MatVec(const Graph& graph, const double* x, double* y);
 
   /// y = A x plus the Rayleigh coefficient x' A x, from ONE fused CSR
@@ -127,48 +155,30 @@ class SpectralEngine {
   /// kernel MatVec runs, so the two products cannot drift). The
   /// coefficient is reduced over fixed row blocks in block order
   /// (MatVecBlockRows), so it is bit-identical across thread counts.
-  /// Same contract as MatVec. This is the engine's
-  /// Lanczos step; it is public so kernel-consistency tests and fused
-  /// callers (e.g. Rayleigh-quotient loops) can use it directly.
+  /// Same contract as MatVec. This is the engine's Lanczos step; it is
+  /// public so kernel-consistency tests can use it directly.
   double MatVecFused(const Graph& graph, const double* x, double* y);
 
-  /// Both spectral extremes at `value_tolerance`. Cached per graph.
-  /// Errors on empty/edgeless graphs.
-  Result<ExtremeEigenvalues> Extremes(const Graph& graph);
-
   /// The coupling constant c = -1/lambda_min at `coupling_tolerance`
-  /// (single Lanczos sweep for the minimum end only — no lambda_max
-  /// phase). Cached per graph. Errors on empty/edgeless graphs.
+  /// (single Lanczos sweep for the minimum end only). Cached per graph.
+  /// Errors on empty/edgeless graphs.
   Result<CouplingResult> CouplingConstant(const Graph& graph);
 
   /// CouplingConstant plus the lambda_min Ritz vector of the same sweep,
   /// reconstructed by a replay pass and cached as the graph's
-  /// min-eigenvector (retrievable via GetCachedMinEigenvector, usable
-  /// through WarmStartFromParent). This is the entry point for
-  /// warm-start chains across evolving graphs: each solve both consumes
-  /// a pending warm start and produces the eigenvector the next
-  /// (sub)graph's solve is seeded from. `eigenvector` may be null when
-  /// only the caching side effect is wanted. The eigenvector is resolved
-  /// at `coupling_tolerance`, loose by eigenpair standards — good enough
-  /// to seed a Krylov space, not for spectral analyses (use MinEigenpair
-  /// for those). A cache hit with a stored vector costs nothing; a cache
-  /// hit without one replays a fresh sweep for the vector but keeps the
-  /// cached coupling values, so repeated calls agree exactly.
+  /// min-eigenvector (usable through WarmStartFromParent). This is the
+  /// entry point for warm-start chains across evolving graphs: each
+  /// solve both consumes a pending warm start and produces the
+  /// eigenvector the next (sub)graph's solve is seeded from.
+  /// `eigenvector` may be null when only the caching side effect is
+  /// wanted. The eigenvector is resolved at `coupling_tolerance`, loose
+  /// by eigenpair standards — good enough to seed a Krylov space; a
+  /// tighter `coupling_tolerance` tightens it too. A cache hit with a
+  /// stored vector costs nothing; a cache hit without one replays a
+  /// fresh sweep for the vector but keeps the cached coupling values, so
+  /// repeated calls agree exactly.
   Result<CouplingResult> CouplingConstantWithVector(
       const Graph& graph, std::vector<double>* eigenvector);
-
-  /// Dominant (largest algebraic) eigenpair, honoring the caller's
-  /// PowerMethodOptions: `tolerance` bounds the eigenvalue stop and the
-  /// Ritz residual, `max_iterations` caps Lanczos steps. The eigenvector
-  /// is reconstructed by a second recurrence pass (no basis storage), so
-  /// engine memory stays O(n).
-  Result<EigenEstimate> Dominant(const Graph& graph,
-                                 const PowerMethodOptions& pm);
-
-  /// Smallest-eigenvalue eigenpair, same contract as Dominant. Also
-  /// caches the eigenvector as the graph's warm-start vector.
-  Result<EigenEstimate> MinEigenpair(const Graph& graph,
-                                     const PowerMethodOptions& pm);
 
   /// Seeds the next cold solve's start vector (copied). Applies once, to
   /// the first subsequent solve whose graph has the same node count (a
@@ -189,15 +199,9 @@ class SpectralEngine {
   bool WarmStartFromParent(std::span<const double> parent_eigenvector,
                            std::span<const NodeId> to_parent);
 
-  /// Copies the cached min-eigenvector for `graph` into `out` if one is
-  /// known (populated by MinEigenpair). Returns false otherwise.
-  bool GetCachedMinEigenvector(const Graph& graph,
-                               std::vector<double>* out) const;
-
   /// Drops the cache entry for `graph` (e.g. once a subgraph is done
-  /// with, to bound the cache) / the whole cache.
+  /// with, to bound the cache).
   void Forget(const Graph& graph);
-  void ClearCache();
 
   /// Total Lanczos mat-vec passes performed (cache hits add nothing).
   size_t total_matvecs() const { return total_matvecs_; }
@@ -207,21 +211,17 @@ class SpectralEngine {
   const SpectralEngineOptions& options() const { return options_; }
 
  private:
-  struct EndTracker;
   struct SweepOutcome;
 
   struct CacheEntry {
     uint64_t graph_id = 0;  // Graph::id() of the solved graph
-    bool has_extremes = false;
-    ExtremeEigenvalues extremes;
-    bool has_coupling = false;
     CouplingResult coupling;
-    std::vector<double> min_eigenvector;  // empty unless MinEigenpair ran
+    std::vector<double> min_eigenvector;  // empty unless a vector was asked
   };
 
   CacheEntry* FindEntry(const Graph& graph);
-  const CacheEntry* FindEntry(const Graph& graph) const;
-  CacheEntry* TouchEntry(const Graph& graph);
+  /// Appends an entry for `graph`, evicting the oldest when full.
+  CacheEntry* AddEntry(const Graph& graph);
 
   Status ValidateGraph(const Graph& graph) const;
   void EnsureWorkspace(size_t n);
@@ -237,30 +237,23 @@ class SpectralEngine {
   /// alpha = v_' A v_. Thin wrapper over the public MatVecFused.
   double MatVecAlphaStep(const Graph& graph);
 
-  /// Runs the Lanczos recurrence until the wanted ends converge (pass 1,
-  /// `ritz_weights == nullptr`) or replays exactly `replay_steps` steps
-  /// accumulating `eigenvector += ritz_weights[j] * v_j` (pass 2).
-  SweepOutcome LanczosSweep(const Graph& graph, bool need_min, bool need_max,
-                            double tol_min, double tol_max, size_t step_cap,
-                            double residual_target,
+  /// Runs the Lanczos recurrence until the minimum end converges at
+  /// `coupling_tolerance` or `max_steps` run out (pass 1,
+  /// `ritz_weights == nullptr`), or replays exactly `replay_steps` steps
+  /// accumulating `*eigenvector += ritz_weights[j] * v_j` (pass 2).
+  SweepOutcome LanczosSweep(const Graph& graph,
                             const std::vector<double>* ritz_weights,
                             size_t replay_steps,
                             std::vector<double>* eigenvector);
 
-  /// Extreme eigenvalue of the current tridiagonal T_k by Sturm bisection
-  /// within [lo, hi].
-  double BisectExtreme(size_t k, bool smallest, double lo, double hi,
-                       double abs_tol) const;
+  /// Smallest eigenvalue of the current tridiagonal T_k by Sturm
+  /// bisection within [lo, hi].
+  double BisectExtreme(size_t k, double lo, double hi, double abs_tol) const;
   size_t SturmCountBelow(size_t k, double x) const;
 
-  /// Last component (and optionally the full vector) of the unit
-  /// eigenvector of T_k for Ritz value theta, via inverse iteration.
-  double TridiagEigenvector(size_t k, double theta,
-                            std::vector<double>* s) const;
-
-  Result<EigenEstimate> EigenpairImpl(const Graph& graph,
-                                      const PowerMethodOptions& pm,
-                                      bool smallest);
+  /// Unit eigenvector `s` of T_k for Ritz value theta, via inverse
+  /// iteration.
+  void TridiagEigenvector(size_t k, double theta, std::vector<double>* s) const;
 
   /// Replays the sweep that just ran (pass 2 over the same start vector
   /// and restart stream) to reconstruct the unit Ritz vector for `theta`,
@@ -279,7 +272,6 @@ class SpectralEngine {
   std::vector<double> alpha_;    // T diagonal
   std::vector<double> beta_;     // T off-diagonal
   std::vector<double> beta_sq_;  // squared off-diagonal (Sturm)
-  mutable std::vector<double> tri_s_;    // tridiagonal eigenvector scratch
   mutable std::vector<double> tri_d_;    // Thomas-solve scratch
   mutable std::vector<double> tri_rhs_;  // Thomas-solve scratch
 
@@ -290,6 +282,16 @@ class SpectralEngine {
   size_t total_matvecs_ = 0;
   size_t cache_hits_ = 0;
 };
+
+/// c = -1/lambda_min through a fresh engine configured by
+/// ValueSolveOptionsFrom(options): the paper's coupling constant, the
+/// largest value for which a virtual vector representation exists. For
+/// any graph with at least one edge, lambda_min <= -1, hence c in (0, 1]
+/// (clamped to kMaxCouplingConstant). Errors on empty/edgeless graphs.
+/// Callers that resolve c repeatedly should hold a SpectralEngine
+/// instead to get workspace reuse, per-graph caching, and warm starts.
+Result<double> ComputeCouplingConstant(const Graph& graph,
+                                       const PowerMethodOptions& options = {});
 
 /// A fixed fleet of independently owned engines for worker-parallel
 /// callers. An engine is stateful (workspaces, per-graph cache, pending

@@ -6,7 +6,7 @@
 #include <thread>
 
 #include "gen/erdos_renyi.h"
-#include "spectral/extreme_eigen.h"
+#include "spectral/spectral_engine.h"
 #include "testing/test_graphs.h"
 #include "util/random.h"
 

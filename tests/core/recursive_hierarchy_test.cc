@@ -5,7 +5,7 @@
 #include <algorithm>
 
 #include "gen/nested_partition.h"
-#include "spectral/power_method.h"
+#include "spectral/spectral_engine.h"
 #include "testing/test_graphs.h"
 
 namespace oca {

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "spectral/extreme_eigen.h"
+#include "spectral/spectral_engine.h"
 #include "testing/test_graphs.h"
 
 namespace oca {

@@ -23,7 +23,6 @@
 #include "core/recursive_hierarchy.h"
 #include "gen/nested_partition.h"
 #include "gen/weight_assign.h"
-#include "spectral/power_method.h"
 #include "testing/test_graphs.h"
 #include "util/random.h"
 

@@ -14,7 +14,7 @@
 #include "graph/subgraph.h"
 #include "metrics/similarity.h"
 #include "metrics/theta.h"
-#include "spectral/extreme_eigen.h"
+#include "spectral/spectral_engine.h"
 #include "util/random.h"
 
 namespace oca {
@@ -40,9 +40,14 @@ TEST_P(RandomGraphPropertyTest, CouplingConstantIsAdmissible) {
   double c = ComputeCouplingConstant(g).value();
   EXPECT_GT(c, 0.0);
   EXPECT_LT(c, 1.0);
-  // Admissibility: 1 + c*lambda_min >= 0 (within numerical slack).
-  auto eig = ComputeExtremeEigenvalues(g).value();
-  EXPECT_GE(1.0 + c * eig.lambda_min, -1e-6);
+  // Admissibility: 1 + c*lambda_min >= 0 (within numerical slack),
+  // against a tightly converged lambda_min.
+  SpectralEngineOptions tight;
+  tight.coupling_tolerance = 1e-12;
+  tight.max_steps = 40000;
+  SpectralEngine engine(tight);
+  const double lambda_min = engine.CouplingConstant(g).value().lambda_min;
+  EXPECT_GE(1.0 + c * lambda_min, -1e-6);
 }
 
 TEST_P(RandomGraphPropertyTest, OcaCoverNodesAreInRange) {

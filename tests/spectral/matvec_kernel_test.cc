@@ -21,7 +21,6 @@
 #include "graph/graph_builder.h"
 #include "metrics/omega_index.h"
 #include "spectral/csr_matvec.h"
-#include "spectral/power_method.h"
 #include "spectral/spectral_engine.h"
 #include "util/random.h"
 
@@ -147,11 +146,16 @@ TEST(CsrKernelTest, ShortAndRaggedRowsMatchNaiveReference) {
 // Regression pin for the deduplicated row loop: the engine's MatVec and
 // its fused Lanczos step (MatVecFused, the former inline clone) produce
 // bit-identical products, and the fused alpha equals the fixed-block
-// reduction of y'x — on random graphs, serial and pooled.
+// reduction of y'x — on random graphs, serial and pooled. The graphs
+// have three row blocks and ~108k entries, so a 4-thread engine pools.
 TEST(CsrKernelTest, EngineFusedAndPlainProductsAreBitIdentical) {
   for (uint64_t seed : {11u, 12u, 13u}) {
     Rng rng(seed);
-    Graph g = ErdosRenyi(600, 0.02, &rng).value();
+    Graph g = ErdosRenyi(6000, 0.003, &rng).value();
+    ASSERT_GE((g.num_nodes() + MatVecBlockRows(g.num_nodes()) - 1) /
+                  MatVecBlockRows(g.num_nodes()),
+              3u);
+    ASSERT_GE(g.neighbor_array().size(), size_t{1} << 16);
     std::vector<double> x = RandomVector(g.num_nodes(), seed);
     SpectralEngineOptions serial_opt;
     SpectralEngine engine(serial_opt);
@@ -175,10 +179,9 @@ TEST(CsrKernelTest, EngineFusedAndPlainProductsAreBitIdentical) {
     }
     EXPECT_EQ(alpha, expected) << "seed " << seed;
 
-    // Pooled engine (forced parallel): same bits.
+    // Pooled engine: same bits.
     SpectralEngineOptions pooled_opt;
     pooled_opt.num_threads = 4;
-    pooled_opt.parallel_min_edges = 0;
     SpectralEngine pooled(pooled_opt);
     std::vector<double> y_par(g.num_nodes());
     double alpha_par = pooled.MatVecFused(g, x.data(), y_par.data());

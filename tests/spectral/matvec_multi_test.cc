@@ -15,7 +15,6 @@
 #include "graph/mmap_graph.h"
 #include "io/graph_serialize.h"
 #include "spectral/csr_matvec.h"
-#include "spectral/power_method.h"
 #include "util/random.h"
 
 namespace oca {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <optional>
 
 #include "gen/erdos_renyi.h"
@@ -20,14 +21,19 @@ using testing::KarateClub;
 using testing::Path5;
 using testing::Star;
 
-// Tightly-converged reference via the public wrapper (itself
-// engine-backed, but at a far stricter tolerance and step budget — the
-// role the seed power method played when it was run to convergence).
-ExtremeEigenvalues TightReference(const Graph& g) {
-  PowerMethodOptions tight;
-  tight.tolerance = 1e-12;
-  tight.max_iterations = 20000;
-  return ComputeExtremeEigenvalues(g, tight).value();
+// A tightly converged min-end solve: the same engine at a far stricter
+// tolerance and step budget — the role the seed power method played when
+// it was run to convergence.
+SpectralEngineOptions TightOptions() {
+  SpectralEngineOptions tight;
+  tight.coupling_tolerance = 1e-12;
+  tight.max_steps = 40000;
+  return tight;
+}
+
+double TightLambdaMin(const Graph& g) {
+  SpectralEngine engine(TightOptions());
+  return engine.CouplingConstant(g).value().lambda_min;
 }
 
 double RelDiff(double a, double b) {
@@ -35,27 +41,25 @@ double RelDiff(double a, double b) {
 }
 
 TEST(SpectralEngineTest, GoldenSpectraOnFixtures) {
+  // One held engine across graphs of different shapes.
   SpectralEngine engine;
-  // K_n: lambda_max = n-1, lambda_min = -1.
+  // K_n: lambda_min = -1.
   for (size_t n : {3u, 5u, 8u}) {
     Graph g = Clique(n);
-    auto eig = engine.Extremes(g).value();
-    EXPECT_NEAR(eig.lambda_max, static_cast<double>(n - 1), 1e-6) << "K" << n;
-    EXPECT_NEAR(eig.lambda_min, -1.0, 1e-6) << "K" << n;
+    EXPECT_NEAR(engine.CouplingConstant(g).value().lambda_min, -1.0, 1e-6)
+        << "K" << n;
   }
-  // Star: bipartite, +-sqrt(leaves).
+  // Star: bipartite, -sqrt(leaves).
   Graph star = Star(16);
-  auto eig = engine.Extremes(star).value();
-  EXPECT_NEAR(eig.lambda_max, 4.0, 1e-6);
-  EXPECT_NEAR(eig.lambda_min, -4.0, 1e-6);
+  EXPECT_NEAR(engine.CouplingConstant(star).value().lambda_min, -4.0, 1e-6);
   // Odd cycle: lambda_min = 2cos(4pi/5).
   Graph c5 = Cycle(5);
-  auto eig5 = engine.Extremes(c5).value();
-  EXPECT_NEAR(eig5.lambda_min, 2.0 * std::cos(4.0 * M_PI / 5.0), 1e-6);
-  // Path: lambda_max = sqrt(3).
+  EXPECT_NEAR(engine.CouplingConstant(c5).value().lambda_min,
+              2.0 * std::cos(4.0 * M_PI / 5.0), 1e-6);
+  // Path: lambda_min = -sqrt(3).
   Graph p5 = Path5();
-  auto eigp = engine.Extremes(p5).value();
-  EXPECT_NEAR(eigp.lambda_max, std::sqrt(3.0), 1e-6);
+  EXPECT_NEAR(engine.CouplingConstant(p5).value().lambda_min, -std::sqrt(3.0),
+              1e-6);
 }
 
 TEST(SpectralEngineTest, CouplingMatchesTightReferenceTo4Digits) {
@@ -79,27 +83,17 @@ TEST(SpectralEngineTest, CouplingMatchesTightReferenceTo4Digits) {
 
   for (const Graph& g : graphs) {
     ASSERT_GT(g.num_edges(), 0u);
-    ExtremeEigenvalues ref = TightReference(g);
+    const double ref_lambda_min = TightLambdaMin(g);
     SpectralEngine engine;
     auto coupling = engine.CouplingConstant(g).value();
-    double c_ref = std::min(-1.0 / ref.lambda_min, 1.0 - 1e-9);
+    double c_ref = std::min(-1.0 / ref_lambda_min, 1.0 - 1e-9);
     EXPECT_LT(RelDiff(coupling.c, c_ref), 5e-5)
-        << "n=" << g.num_nodes() << " lambda_min=" << ref.lambda_min;
-    EXPECT_LT(RelDiff(coupling.lambda_min, ref.lambda_min), 5e-5);
+        << "n=" << g.num_nodes() << " lambda_min=" << ref_lambda_min;
+    EXPECT_LT(RelDiff(coupling.lambda_min, ref_lambda_min), 5e-5);
     // Admissibility: the reported c must not exceed the true maximum.
     EXPECT_LE(coupling.c, c_ref * (1.0 + 1e-9));
     EXPECT_TRUE(coupling.converged);
   }
-}
-
-TEST(SpectralEngineTest, ExtremesMatchTightReference) {
-  Rng rng(12);
-  Graph g = ErdosRenyi(250, 0.05, &rng).value();
-  ExtremeEigenvalues ref = TightReference(g);
-  SpectralEngine engine;
-  auto eig = engine.Extremes(g).value();
-  EXPECT_LT(RelDiff(eig.lambda_max, ref.lambda_max), 1e-6);
-  EXPECT_LT(RelDiff(eig.lambda_min, ref.lambda_min), 1e-5);
 }
 
 TEST(SpectralEngineTest, WarmStartEqualsColdStartAccuracy) {
@@ -113,15 +107,13 @@ TEST(SpectralEngineTest, WarmStartEqualsColdStartAccuracy) {
   // Obtain the min-end eigenvector, then warm-start a fresh engine with
   // it. The warm solve must agree with the cold one to the same
   // tolerance (and typically converge in fewer steps).
-  SpectralEngine vec_engine;
-  PowerMethodOptions pm;
-  pm.max_iterations = 2000;
-  pm.tolerance = 1e-10;
-  auto pair = vec_engine.MinEigenpair(g, pm).value();
+  SpectralEngine vec_engine(TightOptions());
+  std::vector<double> eigenvector;
+  auto pair = vec_engine.CouplingConstantWithVector(g, &eigenvector).value();
   ASSERT_TRUE(pair.converged);
 
   SpectralEngine warm;
-  warm.SetWarmStart(pair.eigenvector);
+  warm.SetWarmStart(eigenvector);
   auto warm_result = warm.CouplingConstant(g).value();
 
   EXPECT_LT(RelDiff(warm_result.c, cold_result.c), 1e-4);
@@ -129,34 +121,31 @@ TEST(SpectralEngineTest, WarmStartEqualsColdStartAccuracy) {
   EXPECT_TRUE(warm_result.converged);
 }
 
-TEST(SpectralEngineTest, MinEigenpairSatisfiesDefinition) {
+// The replay pass the warm-start chain uses rebuilds a true eigenvector:
+// at a tight tolerance the Ritz vector satisfies A x = lambda_min x.
+TEST(SpectralEngineTest, MinRitzVectorSatisfiesDefinition) {
   Graph g = KarateClub();
-  SpectralEngine engine;
-  PowerMethodOptions pm;
-  pm.tolerance = 1e-10;
-  pm.max_iterations = 2000;
-  auto est = engine.MinEigenpair(g, pm).value();
-  ASSERT_TRUE(est.converged);
-  ExtremeEigenvalues ref = TightReference(g);
-  EXPECT_NEAR(est.eigenvalue, ref.lambda_min, 1e-6);
+  SpectralEngine engine(TightOptions());
+  std::vector<double> x;
+  auto result = engine.CouplingConstantWithVector(g, &x).value();
+  ASSERT_TRUE(result.converged);
+  ASSERT_EQ(x.size(), g.num_nodes());
   // ||A x - lambda x|| small.
   std::vector<double> y(g.num_nodes());
-  engine.MatVec(g, est.eigenvector.data(), y.data());
+  engine.MatVec(g, x.data(), y.data());
   double err = 0.0;
   for (size_t i = 0; i < y.size(); ++i) {
-    double r = y[i] - est.eigenvalue * est.eigenvector[i];
+    double r = y[i] - result.lambda_min * x[i];
     err += r * r;
   }
   EXPECT_LT(std::sqrt(err), 1e-3);
-  // The eigenvector is cached as the graph's warm-start vector.
-  std::vector<double> cached;
-  EXPECT_TRUE(engine.GetCachedMinEigenvector(g, &cached));
-  EXPECT_EQ(cached.size(), g.num_nodes());
 }
 
 TEST(SpectralEngineTest, DeterministicAcrossThreadCounts) {
+  // 6,000 nodes: three row blocks (MatVecBlockRows) and ~114k entries,
+  // so the 4-thread engine runs its mat-vecs on the pool.
   LfrOptions lfr;
-  lfr.num_nodes = 1500;
+  lfr.num_nodes = 6000;
   lfr.average_degree = 18.0;
   lfr.max_degree = 45;
   lfr.mixing = 0.3;
@@ -164,27 +153,27 @@ TEST(SpectralEngineTest, DeterministicAcrossThreadCounts) {
   lfr.max_community = 60;
   lfr.seed = 17;
   Graph g = GenerateLfr(lfr).value().graph;
+  const size_t block = MatVecBlockRows(g.num_nodes());
+  ASSERT_GE((g.num_nodes() + block - 1) / block, 3u);
+  ASSERT_GE(g.neighbor_array().size(), size_t{1} << 16);
 
   SpectralEngineOptions serial_opts;
   serial_opts.num_threads = 1;
   SpectralEngineOptions parallel_opts;
   parallel_opts.num_threads = 4;
-  parallel_opts.parallel_min_edges = 1;  // force the parallel mat-vec path
 
   SpectralEngine serial(serial_opts);
   SpectralEngine parallel(parallel_opts);
 
-  auto a = serial.Extremes(g).value();
-  auto b = parallel.Extremes(g).value();
+  std::vector<double> va, vb;
+  auto a = serial.CouplingConstantWithVector(g, &va).value();
+  auto b = parallel.CouplingConstantWithVector(g, &vb).value();
   // Fixed-block reductions: bit-identical, not merely close.
-  EXPECT_EQ(a.lambda_max, b.lambda_max);
+  EXPECT_EQ(a.c, b.c);
   EXPECT_EQ(a.lambda_min, b.lambda_min);
-  EXPECT_EQ(a.iterations_max, b.iterations_max);
-  EXPECT_EQ(a.iterations_min, b.iterations_min);
-
-  auto ca = serial.CouplingConstant(g).value();
-  auto cb = parallel.CouplingConstant(g).value();
-  EXPECT_EQ(ca.c, cb.c);
+  EXPECT_EQ(a.iterations, b.iterations);
+  ASSERT_EQ(va.size(), vb.size());
+  EXPECT_EQ(std::memcmp(va.data(), vb.data(), va.size() * sizeof(double)), 0);
 }
 
 TEST(SpectralEngineTest, DeterministicPerSeed) {
@@ -199,18 +188,19 @@ TEST(SpectralEngineTest, DeterministicPerSeed) {
 
 TEST(SpectralEngineTest, EmptyAndEdgelessErrorPaths) {
   SpectralEngine engine;
+  std::vector<double> vec;
   Graph empty;
-  EXPECT_TRUE(engine.Extremes(empty).status().IsInvalidArgument());
   EXPECT_TRUE(engine.CouplingConstant(empty).status().IsInvalidArgument());
-  EXPECT_TRUE(
-      engine.Dominant(empty, {}).status().IsInvalidArgument());
+  EXPECT_TRUE(engine.CouplingConstantWithVector(empty, &vec)
+                  .status()
+                  .IsInvalidArgument());
 
   Graph edgeless = BuildGraph(5, {}).value();
-  EXPECT_TRUE(engine.Extremes(edgeless).status().IsFailedPrecondition());
   EXPECT_TRUE(
       engine.CouplingConstant(edgeless).status().IsFailedPrecondition());
-  EXPECT_TRUE(
-      engine.MinEigenpair(edgeless, {}).status().IsFailedPrecondition());
+  EXPECT_TRUE(engine.CouplingConstantWithVector(edgeless, &vec)
+                  .status()
+                  .IsFailedPrecondition());
 }
 
 TEST(SpectralEngineTest, CachesPerGraphAndForgetDropsEntries) {
@@ -227,8 +217,7 @@ TEST(SpectralEngineTest, CachesPerGraphAndForgetDropsEntries) {
   EXPECT_EQ(engine.total_matvecs(), matvecs_after_first);
   EXPECT_EQ(engine.cache_hits(), 1u);
 
-  // Extremes() on a cached-coupling graph still solves (tighter
-  // tolerance), then seeds the coupling cache for OTHER graphs fresh.
+  // Forget drops the entry: the next call solves again.
   engine.Forget(g);
   auto third = engine.CouplingConstant(g).value();
   EXPECT_GT(third.iterations, 0u);
@@ -263,20 +252,6 @@ TEST(SpectralEngineTest, GraphBuiltWhereADeadOneLivedMissesTheCache) {
   EXPECT_EQ(again.c, star.c);
 }
 
-TEST(SpectralEngineTest, ExtremesSeedsCouplingCache) {
-  Rng rng(21);
-  Graph g = ErdosRenyi(100, 0.08, &rng).value();
-  SpectralEngine engine;
-  auto eig = engine.Extremes(g).value();
-  ASSERT_LT(eig.lambda_min, 0.0);
-  size_t matvecs = engine.total_matvecs();
-  auto coupling = engine.CouplingConstant(g).value();
-  EXPECT_EQ(engine.total_matvecs(), matvecs);  // no extra solve
-  EXPECT_EQ(coupling.iterations, 0u);
-  EXPECT_NEAR(coupling.c, std::min(-1.0 / eig.lambda_min, 1.0 - 1e-9),
-              1e-6);
-}
-
 TEST(SpectralEngineTest, CouplingWithVectorReturnsUsableEigenvector) {
   Rng rng(33);
   Graph g = ErdosRenyi(120, 0.07, &rng).value();
@@ -286,20 +261,18 @@ TEST(SpectralEngineTest, CouplingWithVectorReturnsUsableEigenvector) {
   ASSERT_EQ(vec.size(), g.num_nodes());
   EXPECT_GT(coupling.iterations, 0u);
 
-  // Unit norm, and its Rayleigh quotient sits near lambda_min (the
+  // Unit norm, and its Rayleigh quotient x'Ax sits near lambda_min (the
   // vector is resolved at the loose coupling tolerance, so only ask for
   // a few percent).
   double norm_sq = 0.0;
   for (double x : vec) norm_sq += x * x;
   EXPECT_NEAR(norm_sq, 1.0, 1e-9);
-  double rq = RayleighQuotient(g, vec);
+  std::vector<double> product(g.num_nodes());
+  double rq = engine.MatVecFused(g, vec.data(), product.data());
   EXPECT_LT(RelDiff(rq, coupling.lambda_min), 0.05);
 
-  // The vector is cached for warm-start chaining...
-  std::vector<double> cached;
-  EXPECT_TRUE(engine.GetCachedMinEigenvector(g, &cached));
-  EXPECT_EQ(cached, vec);
-  // ...and a repeat call is a pure cache hit returning the same pair.
+  // The vector is cached for warm-start chaining: a repeat call is a
+  // pure cache hit returning the same pair.
   size_t matvecs = engine.total_matvecs();
   std::vector<double> again;
   auto hit = engine.CouplingConstantWithVector(g, &again).value();
@@ -391,6 +364,19 @@ TEST(SpectralEngineTest, WarmStartFromParentRejectsDegenerateInput) {
   // A usable restriction registers.
   std::vector<NodeId> good = {8, 9};
   EXPECT_TRUE(engine.WarmStartFromParent(lopsided, good));
+}
+
+// A default engine runs the solve RunOca, the hierarchy builders and
+// ComputeCouplingConstant run: every field of SpectralEngineOptions{}
+// equals the mapping of a default PowerMethodOptions.
+TEST(SpectralEngineTest, DefaultOptionsAreTheProductionSolve) {
+  const SpectralEngineOptions held;
+  const SpectralEngineOptions production =
+      ValueSolveOptionsFrom(PowerMethodOptions{});
+  EXPECT_EQ(held.coupling_tolerance, production.coupling_tolerance);
+  EXPECT_EQ(held.max_steps, production.max_steps);
+  EXPECT_EQ(held.seed, production.seed);
+  EXPECT_EQ(held.num_threads, production.num_threads);
 }
 
 TEST(SpectralEngineTest, MatVecMatchesFreeFunction) {
