@@ -7,8 +7,8 @@
 // Nothing here hashes raw double bits. Start vectors come from
 // Box-Muller draws through libm log/cos, which may differ in the last
 // ulp between C libraries, so c is pinned to a relative 1e-12 and the
-// hashes cover only discrete structure (members, links, stop reasons,
-// iteration counts). Likewise the .ocac snapshot pins hash a whole file
+// hashes cover only discrete structure (members, links, stop reasons)
+// or iteration counts. Likewise the .ocac snapshot pins hash a whole file
 // only for the handcrafted tree, whose doubles are exact; for built
 // covers and trees they hash the sections from roots up to the level
 // rollups, which hold no doubles.
@@ -79,21 +79,25 @@ struct Case {
   double c;
   uint64_t cover_hash;
   uint64_t tree_hash;
+  size_t tree_iterations;  // Lanczos steps summed over the subgraph solves
+  uint64_t tree_iterations_hash;
 };
 
-// Both tree hashes were re-recorded once, for two reasons. The
-// unweighted one, and the recursive snapshot hash below, moved when the
-// integer climber took up the smallest-id tie rule: exact deg-in ties in
-// the subgraph climbs now fall to the smallest id instead of the last
-// node filed. The weighted top-level cover holds a root spanning the
-// whole graph; that root's run now draws its own seed instead of
-// replaying the top-level run, so its subtree changed. The flat covers
-// did not move.
+// The tree pin hashes structure alone: communities, links and stop
+// reasons. The iteration pin holds what the tree's subgraph solves
+// spent, which moves whenever their start vectors do, although no
+// community moves with it. Earlier moves of the tree: the unweighted
+// tree, and the recursive snapshot hash below, moved when the integer
+// climber took up the smallest-id tie rule (exact deg-in ties in the
+// subgraph climbs fall to the smallest id); the weighted top-level
+// cover holds a root spanning the whole graph, and that root's run
+// draws its own seed instead of replaying the top-level run. The flat
+// covers did not move.
 constexpr Case kCases[] = {
     {"nested21", false, 36, 0.10578983723657727, 0x27af20129aba5a7dull,
-     0xab11c32c4682ae9full},
+     0xb099da6f06f0d96bull, 500, 0xad00826279d63eb1ull},
     {"nested21_hashed_weights", true, 44, 0.077502395249435155,
-     0x52928ca08d2a28a3ull, 0x25e0a395d7a3a91eull},
+     0x52928ca08d2a28a3ull, 0xacdc9a8b16f386eeull, 448, 0xd1bb1b50d6a65575ull},
 };
 
 Graph GraphFor(const Case& tc) {
@@ -138,6 +142,16 @@ uint64_t TreeStructureHash(const RecursiveHierarchy& tree) {
     h.Mix(node.children.size());
     for (uint32_t child : node.children) h.Mix(child);
     h.MixString(node.stop_reason);
+  }
+  return h.hash();
+}
+
+/// The Lanczos steps of every node's subgraph solve, in arena order. Kept
+/// apart from the structure hash: how a solve starts moves these counts
+/// (and the low bits of c) without moving a single community.
+uint64_t TreeIterationsHash(const RecursiveHierarchy& tree) {
+  Fnv1a h;
+  for (const RecursiveCommunity& node : tree.nodes) {
     h.Mix(node.spectral_iterations);
   }
   return h.hash();
@@ -174,6 +188,18 @@ TEST(GoldenPinsTest, RecursiveTreeStructure) {
         << tc.name << ": workload must genuinely recurse";
     EXPECT_EQ(TreeStructureHash(tree), tc.tree_hash)
         << tc.name << std::hex << " got 0x" << TreeStructureHash(tree);
+  }
+}
+
+TEST(GoldenPinsTest, RecursiveTreeIterations) {
+  for (const Case& tc : kCases) {
+    Graph g = GraphFor(tc);
+    RecursiveHierarchyOptions opt;
+    opt.base = RunOptions(tc);
+    RecursiveHierarchy tree = BuildRecursiveHierarchy(g, opt).value();
+    EXPECT_EQ(tree.chain.total_iterations, tc.tree_iterations) << tc.name;
+    EXPECT_EQ(TreeIterationsHash(tree), tc.tree_iterations_hash)
+        << tc.name << std::hex << " got 0x" << TreeIterationsHash(tree);
   }
 }
 
