@@ -115,8 +115,8 @@ void BM_MatVecKernel(benchmark::State& state) {
 }
 BENCHMARK(BM_MatVecKernel)->Arg(0)->Arg(1);
 
-/// The ISSUE acceptance graph for the batched-solve rows: 960 nodes in
-/// a 6 x 4 x 40 nested planted partition, seed 7.
+/// 960 nodes in a 6 x 4 x 40 nested planted partition, seed 7: the
+/// shape of a recursive tree's input.
 const oca::Graph& NestedBenchGraph() {
   static const oca::Graph* graph = [] {
     oca::NestedPartitionOptions gen;
@@ -131,74 +131,6 @@ const oca::Graph& NestedBenchGraph() {
   }();
   return *graph;
 }
-
-// k adjacency products in ONE sweep through the multi-vector (SpMM)
-// kernel. items/sec counts k * 2E per iteration, so the ratio to
-// BM_MatVecSequential at the same k is the fusion speedup (the
-// acceptance bar is >= 1.5x at k = 4).
-void BM_MatVecMulti(benchmark::State& state) {
-  const auto k = static_cast<size_t>(state.range(0));
-  const oca::Graph& g = NestedBenchGraph();
-  const size_t n = g.num_nodes();
-  oca::Rng rng(7);
-  std::vector<double> x(n * k);
-  for (double& v : x) v = rng.NextDouble() * 2.0 - 1.0;
-  std::vector<double> y;
-  for (auto _ : state) {
-    oca::AdjacencyMatVecMulti(g, x, &y, k);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(k * g.num_edges() * 2));
-}
-BENCHMARK(BM_MatVecMulti)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-// The unfused baseline: the same k products as k independent
-// single-vector sweeps (k passes over the adjacency stream).
-void BM_MatVecSequential(benchmark::State& state) {
-  const auto k = static_cast<size_t>(state.range(0));
-  const oca::Graph& g = NestedBenchGraph();
-  const size_t n = g.num_nodes();
-  oca::Rng rng(7);
-  std::vector<std::vector<double>> x(k, std::vector<double>(n));
-  for (auto& col : x) {
-    for (double& v : col) v = rng.NextDouble() * 2.0 - 1.0;
-  }
-  std::vector<double> y(n);
-  for (auto _ : state) {
-    for (size_t j = 0; j < k; ++j) {
-      oca::AdjacencyMatVecRows(g, 0, n, x[j].data(), y.data());
-      benchmark::DoNotOptimize(y.data());
-    }
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(k * g.num_edges() * 2));
-}
-BENCHMARK(BM_MatVecSequential)->Arg(4)->Arg(8);
-
-// End-to-end recursive hierarchy on the 960-node nested graph. The arg
-// toggles the cross-solve seed batcher; these rows record what one fused
-// SpMM per split buys in wall time. items = total spectral iterations.
-void BM_HierarchyBatchedSolves(benchmark::State& state) {
-  const oca::Graph& g = NestedBenchGraph();
-  oca::RecursiveHierarchyOptions opt;
-  opt.base.seed = 7;
-  opt.base.halting.max_seeds = g.num_nodes() * 3;
-  opt.base.halting.target_coverage = 0.98;
-  opt.base.halting.stagnation_window = 150;
-  opt.batch_restrictions = state.range(0) != 0;
-  int64_t iterations = 0;
-  for (auto _ : state) {
-    auto tree = oca::BuildRecursiveHierarchy(g, opt).value();
-    iterations += static_cast<int64_t>(tree.chain.total_iterations);
-    benchmark::DoNotOptimize(tree.Digest());
-  }
-  state.SetItemsProcessed(iterations);
-}
-BENCHMARK(BM_HierarchyBatchedSolves)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
 
 // Mat-vec over the cache-reordered graph (degree-sort: hubs get the
 // smallest ids, concentrating gathers in the first lines of x).
@@ -224,9 +156,11 @@ BENCHMARK(BM_MatVecReordered);
 // Parallel mat-vec scaling: the engine's fixed-block pooled kernel at
 // 1/2/4 workers over the lfr_flat-shaped graph (49 row blocks; a graph of
 // one block never pools). Results are bit-identical across thread counts
-// (fixed-block reductions), so this measures speed only. The bench
-// container is often 1-core; the CI thread-matrix job on a multi-core
-// runner is where the speedup is actually recorded.
+// (fixed-block reductions), so this measures speed only. The pool's
+// workers add nothing to the calling thread's CPU time, so the rows run
+// on wall time: items/s reads edges per second of elapsed time. The
+// bench container is often 1-core; the CI thread-matrix job on a
+// multi-core runner is where the speedup is actually recorded.
 void BM_EngineMatVecThreads(benchmark::State& state) {
   const oca::Graph& g = LfrFlatGraph();
   oca::SpectralEngineOptions opt;
@@ -241,7 +175,7 @@ void BM_EngineMatVecThreads(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(g.num_edges() * 2));
 }
-BENCHMARK(BM_EngineMatVecThreads)->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(BM_EngineMatVecThreads)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 void BM_CouplingConstant(benchmark::State& state) {
   const oca::Graph& g = LfrGraph();

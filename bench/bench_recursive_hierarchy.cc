@@ -1,17 +1,12 @@
 // Recursive vs flat hierarchy on nested planted partitions.
 //
-// Three questions, one workload:
+// Two questions, one workload:
 //   1. QUALITY — can the recursive per-community descent recover the
 //      planted FINE scale that a flat c-sweep (one graph, c as a weak
 //      resolution knob) mixes with the coarse scale? Scored by ONMI and
 //      the omega index of each method's finest cover against the
 //      planted sub-blocks.
-//   2. SPECTRAL COST — what does the cross-graph warm-start chain save?
-//      Every subgraph coupling solve is seeded with the parent graph's
-//      lambda_min eigenvector restricted onto the subgraph; we compare
-//      total Lanczos iterations warm vs cold and check the converged c
-//      agrees to within the coupling tolerance.
-//   3. PARALLEL SPEEDUP — sibling subtrees expand concurrently on the
+//   2. PARALLEL SPEEDUP — sibling subtrees expand concurrently on the
 //      thread pool (one engine per worker); we time the serial
 //      reference against an N-worker build, and pin that both produce
 //      the SAME tree (Digest()). N comes from OCA_THREADS (unset/0 =
@@ -23,7 +18,6 @@
 // rerun).
 
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -49,7 +43,7 @@ struct Row {
   size_t nodes = 0;
   double flat_onmi = 0.0, flat_omega = 0.0;
   double rec_onmi = 0.0, rec_omega = 0.0;
-  size_t warm_iters = 0, cold_iters = 0;
+  size_t spectral_iters = 0;
   double serial_seconds = 0.0, parallel_seconds = 0.0;
   size_t threads = 0;
   bool digest_match = false;
@@ -75,12 +69,12 @@ void WriteJson(const char* path, const std::vector<Row>& rows) {
         f,
         "    {\"name\": \"%s\", \"nodes\": %zu, \"flat_onmi\": %.4f, "
         "\"flat_omega\": %.4f, \"rec_onmi\": %.4f, \"rec_omega\": %.4f, "
-        "\"warm_iters\": %zu, \"cold_iters\": %zu, "
+        "\"spectral_iters\": %zu, "
         "\"serial_seconds\": %.4f, \"parallel_seconds\": %.4f, "
         "\"threads\": %zu, \"speedup\": %.3f, \"digest_match\": %s, "
         "\"digest\": \"%016llx\"}%s\n",
         r.name.c_str(), r.nodes, r.flat_onmi, r.flat_omega, r.rec_onmi,
-        r.rec_omega, r.warm_iters, r.cold_iters, r.serial_seconds,
+        r.rec_omega, r.spectral_iters, r.serial_seconds,
         r.parallel_seconds, r.threads,
         r.parallel_seconds > 0.0 ? r.serial_seconds / r.parallel_seconds
                                  : 0.0,
@@ -122,12 +116,10 @@ int main() {
   std::vector<Row> rows;
   bool failed = false;
 
-  std::printf("%-16s %6s | %-21s | %-21s | %-26s\n", "", "",
-              "flat finest level", "recursive leaves",
-              "warm-start chain");
-  std::printf("%-16s %6s | %10s %10s | %10s %10s | %8s %8s %8s\n", "graph",
-              "nodes", "ONMI", "omega", "ONMI", "omega", "warm_it",
-              "cold_it", "saved");
+  std::printf("%-16s %6s | %-21s | %-21s | %-8s\n", "", "",
+              "flat finest level", "recursive leaves", "subgraph");
+  std::printf("%-16s %6s | %10s %10s | %10s %10s | %8s\n", "graph", "nodes",
+              "ONMI", "omega", "ONMI", "omega", "lanczos");
 
   for (const Config& config : configs) {
     oca::NestedPartitionOptions gen;
@@ -158,54 +150,33 @@ int main() {
     double flat_omega =
         oca::OmegaIndex(h.levels[0].cover, bench.sub_truth, n).value();
 
-    // Recursive descent: serial reference (timed), cold, and parallel
-    // (timed, digest-pinned against serial).
+    // Recursive descent: serial reference and parallel, both timed, the
+    // parallel build digest-pinned against the serial one.
     oca::RecursiveHierarchyOptions rec;
     rec.base = base;
     auto t0 = std::chrono::steady_clock::now();
-    auto warm = oca::BuildRecursiveHierarchy(bench.graph, rec).value();
+    auto serial = oca::BuildRecursiveHierarchy(bench.graph, rec).value();
     auto t1 = std::chrono::steady_clock::now();
-    rec.warm_start = false;
-    auto cold = oca::BuildRecursiveHierarchy(bench.graph, rec).value();
-    rec.warm_start = true;
     rec.num_threads = threads;
     auto t2 = std::chrono::steady_clock::now();
     auto parallel = oca::BuildRecursiveHierarchy(bench.graph, rec).value();
     auto t3 = std::chrono::steady_clock::now();
 
-    oca::Cover leaves = warm.LeafCover();
+    oca::Cover leaves = serial.LeafCover();
     double rec_onmi = oca::Onmi(leaves, bench.sub_truth, n).value();
     double rec_omega = oca::OmegaIndex(leaves, bench.sub_truth, n).value();
-
-    // Guard the chain's correctness claim: same converged c everywhere.
-    const double tol = base.power_method.coupling_tolerance;
-    size_t mismatches = 0;
-    if (warm.nodes.size() == cold.nodes.size()) {
-      for (size_t i = 0; i < warm.nodes.size(); ++i) {
-        double cw = warm.nodes[i].subgraph_c;
-        double cc = cold.nodes[i].subgraph_c;
-        if (cw > 0.0 && std::fabs(cw - cc) > 2.0 * tol * cw) ++mismatches;
-      }
-    } else {
-      mismatches = SIZE_MAX;
-    }
-    const bool digest_match = warm.Digest() == parallel.Digest();
+    const bool digest_match = serial.Digest() == parallel.Digest();
 
     char name[64];
     std::snprintf(name, sizeof(name), "%zux%zux%zu", config.supers,
                   config.subs, config.sub_size);
-    long saved = static_cast<long>(cold.chain.total_iterations) -
-                 static_cast<long>(warm.chain.total_iterations);
-    std::printf("%-16s %6zu | %10.3f %10.3f | %10.3f %10.3f | %8zu %8zu "
-                "%7ld%s\n",
-                name, n, flat_onmi, flat_omega, rec_onmi, rec_omega,
-                warm.chain.total_iterations, cold.chain.total_iterations,
-                saved, mismatches == 0 ? "" : "  C-MISMATCH!");
+    std::printf("%-16s %6zu | %10.3f %10.3f | %10.3f %10.3f | %8zu\n", name,
+                n, flat_onmi, flat_omega, rec_onmi, rec_omega,
+                serial.chain.total_iterations);
     std::printf("%-16s %6s | tree: %zu roots, %zu nodes, depth %zu, "
-                "%zu/%zu solves warm\n", "", "", warm.roots.size(),
-                warm.nodes.size(), warm.max_depth_reached,
-                warm.chain.warm_started_solves,
-                warm.chain.subgraph_solves);
+                "%zu subgraph solves\n", "", "", serial.roots.size(),
+                serial.nodes.size(), serial.max_depth_reached,
+                serial.chain.subgraph_solves);
     double serial_s = Seconds(t0, t1);
     double parallel_s = Seconds(t2, t3);
     std::printf("%-16s %6s | parallel: %zu workers, serial %.3fs vs "
@@ -222,17 +193,16 @@ int main() {
     row.flat_omega = flat_omega;
     row.rec_onmi = rec_onmi;
     row.rec_omega = rec_omega;
-    row.warm_iters = warm.chain.total_iterations;
-    row.cold_iters = cold.chain.total_iterations;
+    row.spectral_iters = serial.chain.total_iterations;
     row.serial_seconds = serial_s;
     row.parallel_seconds = parallel_s;
     row.threads = threads;
     row.digest_match = digest_match;
-    row.digest = static_cast<unsigned long long>(warm.Digest());
+    row.digest = static_cast<unsigned long long>(serial.Digest());
     rows.push_back(std::move(row));
     // Hard-fail AFTER the loop and the JSON write: the per-config
     // timings and digests are exactly the evidence a mismatch needs.
-    if (!digest_match || mismatches != 0) failed = true;
+    if (!digest_match) failed = true;
   }
 
   if (const char* json = std::getenv("OCA_BENCH_JSON")) {

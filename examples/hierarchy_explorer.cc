@@ -10,24 +10,19 @@
 //   2. RECURSIVE per-community descent (BuildRecursiveHierarchy): run
 //      OCA, extract each community's induced subgraph, re-resolve its
 //      own admissible c = -1/lambda_min and recurse. Nested scales the
-//      flat sweep cannot separate fall out as tree levels, and every
-//      subgraph eigensolve is warm-started from its parent graph's
-//      lambda_min eigenvector (the cross-graph warm-start chain).
+//      flat sweep cannot separate fall out as tree levels; each node
+//      prints what its subgraph solve cost.
 //
 //   $ ./build/examples/hierarchy_explorer [--seed=7] [--supers=4]
-//         [--subs=3] [--sub_size=20] [--cold] [--node=0] [--threads=N]
-//         [--reorder=none|degree|rcm] [--no_batch]
+//         [--subs=3] [--sub_size=20] [--node=0] [--threads=N]
+//         [--reorder=none|degree|rcm]
 //
-// --cold disables the warm-start chain (compare "spectral iters" to see
-// what the chain saves); --node prints that node's membership paths;
-// --threads expands sibling subtrees on N pool workers (0 = the serial
-// reference path); --reorder runs the recursive descent on a
-// cache-reordered copy of the graph (results are mapped back to
-// original ids before printing); --no_batch disables the cross-solve
-// seed batcher (per-child restriction instead of one fused SpMM per
-// split). The printed tree digest is identical for every --threads
-// value at a fixed --reorder and batching choice — CI's thread matrix
-// pins exactly that.
+// --node prints that node's membership paths; --threads expands sibling
+// subtrees on N pool workers (0 = the serial reference path); --reorder
+// runs the recursive descent on a cache-reordered copy of the graph
+// (results are mapped back to original ids before printing). The
+// printed tree digest is identical for every --threads value at a
+// fixed --reorder — CI's thread matrix pins exactly that.
 
 #include <cstdio>
 #include <string>
@@ -48,9 +43,9 @@ void PrintSubtree(const oca::RecursiveHierarchy& tree, uint32_t index,
               index, node.community.size(), node.depth,
               node.stop_reason.c_str());
   if (node.SubgraphSolved()) {
-    std::printf("  [subgraph c=%.4f, lambda_min=%.4f, %zu spectral iters%s]",
+    std::printf("  [subgraph c=%.4f, lambda_min=%.4f, %zu spectral iters]",
                 node.subgraph_c, node.subgraph_lambda_min,
-                node.spectral_iterations, node.warm_started ? ", warm" : "");
+                node.spectral_iterations);
   }
   std::printf("\n");
   for (uint32_t child : node.children) PrintSubtree(tree, child, indent + 2);
@@ -155,8 +150,6 @@ int main(int argc, char** argv) {
 
   oca::RecursiveHierarchyOptions rec;
   rec.base = flat.base;
-  rec.warm_start = !flags.GetBool("cold", false);
-  rec.batch_restrictions = !flags.GetBool("no_batch", false);
   long threads_flag = flags.GetInt("threads", 0).value_or(0);
   rec.num_threads =
       threads_flag > 0 ? static_cast<size_t>(threads_flag) : 0;
@@ -169,33 +162,24 @@ int main(int argc, char** argv) {
   }
   auto& tree = rec_result.value();
   tree.MapToOriginalIds(work);
-  std::printf("\nrecursive descent (per-community subgraphs, %s starts, "
-              "%zu workers, %s order):\n",
-              rec.warm_start ? "warm" : "cold", rec.num_threads,
-              reorder.c_str());
+  std::printf("\nrecursive descent (per-community subgraphs, %zu workers, "
+              "%s order):\n",
+              rec.num_threads, reorder.c_str());
   for (uint32_t root : tree.roots) PrintSubtree(tree, root, 2);
-  std::printf("  chain: %zu subgraph solves (%zu warm), %zu total spectral "
-              "iterations; max depth %zu\n",
-              tree.chain.subgraph_solves, tree.chain.warm_started_solves,
-              tree.chain.total_iterations, tree.max_depth_reached);
-  std::printf("  scheduling: %zu workers, %zu tasks, peak %zu concurrent, "
-              "warm-start hit rate %.2f\n",
+  std::printf("  solves: %zu subgraph solves, %zu total spectral "
+              "iterations (root solve %zu); max depth %zu\n",
+              tree.chain.subgraph_solves, tree.chain.total_iterations,
+              tree.root_stats.spectral_iterations, tree.max_depth_reached);
+  std::printf("  scheduling: %zu workers, %zu tasks, peak %zu concurrent\n",
               tree.scheduling.num_workers, tree.scheduling.tasks_run,
-              tree.scheduling.max_concurrent,
-              tree.scheduling.warm_start_hit_rate);
-  std::printf("  warm-start seeds: batching %s, %zu ancestor hits "
-              "(distance >= 2), max seed distance %zu\n",
-              rec.batch_restrictions && rec.warm_start ? "on" : "off",
-              tree.scheduling.ancestor_warm_hits,
-              tree.scheduling.max_warm_start_distance);
+              tree.scheduling.max_concurrent);
   std::printf("  tree digest: %016llx\n",
               static_cast<unsigned long long>(tree.Digest()));
   for (const auto& level : tree.LevelSummaries()) {
     std::printf("  depth %zu: %zu communities (%zu split), %zu solves "
-                "(%zu warm, %zu iters)\n",
+                "(%zu iters)\n",
                 level.depth, level.communities, level.split,
-                level.subgraph_solves, level.warm_started,
-                level.spectral_iterations);
+                level.subgraph_solves, level.spectral_iterations);
   }
 
   long node_flag = flags.GetInt("node", -1).value_or(-1);

@@ -175,6 +175,7 @@ Result<CommunityStore> CommunityStore::Open(
                                  " stop reason code out of range");
     }
   }
+  store.roots_ascending_ = true;
   for (uint64_t i = 0; i < c.roots; ++i) {
     const uint32_t r = store.roots_[i];
     if (r >= c.communities ||
@@ -182,6 +183,7 @@ Result<CommunityStore> CommunityStore::Open(
       return Malformed(path, "root list entry " + std::to_string(i) +
                                  " is not a root community");
     }
+    if (i > 0 && store.roots_[i - 1] >= r) store.roots_ascending_ = false;
   }
   for (uint64_t i = 0; i < c.child_entries; ++i) {
     if (store.children_[i] >= c.communities) {
@@ -258,9 +260,13 @@ void CommunityStore::SiblingsAtLevel(NodeId v, uint32_t k,
     const uint32_t at_k = path[k];
     if (k == 0) {
       // Root level: the sibling set is the whole top-level cover, the
-      // same for every path — emit it once and stop scanning.
+      // same for every path — emit it once and stop scanning. Every tree
+      // the library writes lists its roots strictly ascending (arena ids
+      // are in BFS order, roots first), so the copy is already the
+      // answer; only a file listing them out of order pays the sort.
       const auto roots = Roots();
-      out->insert(out->end(), roots.begin(), roots.end());
+      out->assign(roots.begin(), roots.end());
+      if (roots_ascending_) return;
       break;
     }
     const auto siblings = Children(records_[at_k].parent);

@@ -145,6 +145,7 @@ class CommunityStore {
   const uint64_t* path_offsets_ = nullptr;
   const uint32_t* path_entries_ = nullptr;
   const CommunityLevelRecord* levels_ = nullptr;
+  bool roots_ascending_ = false;  // Roots() strictly ascending (set by Open)
 };
 
 }  // namespace oca

@@ -76,10 +76,7 @@ struct HierarchyOptions {
 /// SpectralEngine: the admissible maximum c = -1/lambda_min is resolved
 /// once (a single minimum-end Lanczos sweep) and every level reuses the
 /// engine's per-graph cache instead of recomputing from a cold random
-/// vector; each level's stats record lambda_min for free. When levels
-/// run on evolving graphs (future work: per-community subgraphs), the
-/// engine's warm-start hook seeds each level from the parent level's
-/// eigenvector.
+/// vector; each level's stats record lambda_min for free.
 Result<Hierarchy> BuildHierarchy(const Graph& graph,
                                  const HierarchyOptions& options);
 

@@ -24,8 +24,8 @@ struct OcaOptions {
   /// Optional caller-held spectral engine (non-owning; null = RunOca
   /// builds its own per call). Sharing one engine across repeated runs
   /// over the same graph — hierarchy levels, parameter sweeps — resolves
-  /// the coupling constant once (per-graph cache) and exposes the
-  /// warm-start hook for nested solves. The engine must outlive the run
+  /// the coupling constant once (per-graph cache) and reuses its
+  /// workspaces across graphs. The engine must outlive the run
   /// and is NOT thread-safe: concurrent RunOca calls need one engine
   /// each (SpectralEngineSet), never a shared one. Results do not depend
   /// on which engine ran the solve — start vectors derive from the

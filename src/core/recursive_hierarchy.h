@@ -10,32 +10,28 @@
 // it, and repeat until communities stop splitting. The result is a tree
 // of nested communities in original node ids.
 //
-// The spectral piece that makes the recursion cheap is a cross-graph
-// warm-start chain: every subgraph solve is seeded with the parent
-// graph's converged lambda_min eigenvector restricted (through
-// Subgraph::to_original) onto the subgraph's node set, so nested solves
-// start from a physically informed vector instead of cold random. The
-// per-node stats record what each solve cost and whether it was warm,
-// so warm-vs-cold savings are measurable (bench_recursive_hierarchy).
+// Each subgraph's c is resolved by its own RunOca, on the engine the
+// expansion runs with, from a random start vector like every other
+// solve. Seeding children from the parent's eigenvector was tried and
+// measured: it saved 5-10% of the Lanczos steps but rebuilding that
+// eigenvector doubled the mat-vecs of every solve, so cold builds were
+// faster with identical trees.
 //
 // PARALLELISM. Sibling subtrees are independent: once a node's subgraph
 // run has produced its children, each child's whole expansion (induced
-// subgraph, coupling solve, inner OCA, stability filter) depends only on
-// that child's community and its parent's published eigenvector. With
+// subgraph, inner OCA with its coupling solve, stability filter)
+// depends only on that child's community and depth. With
 // `num_threads >= 1` the build therefore runs expansions as a work queue
 // on util/thread_pool, one stateful SpectralEngine per worker
-// (SpectralEngineSet); the warm-start chain crosses engines by value —
-// ancestor eigenvectors travel with the task (an immutable chain of
-// links), never through shared engine state. The queue is
-// depth-prioritized: among pending expansions workers always pick the
-// deepest, so a subtree is driven to its leaves (releasing its chain
-// links) before workers fan across shallow siblings. Determinism is
-// structural, not scheduled: every expansion is a pure function of
-// (community, depth, ancestor chain, batch seed), and children get
-// stable identities from (depth, parent, community index), so the arena
-// is assembled in canonical BFS order regardless of completion order —
-// serial (num_threads == 0) and N-thread builds are byte-identical
-// (pinned by tests and the CI thread matrix).
+// (SpectralEngineSet). The queue is depth-prioritized: among pending
+// expansions workers always pick the deepest, so a deep subtree is not
+// left to run on alone after its shallow siblings finish. Determinism
+// is structural, not scheduled: every expansion is a pure function of
+// (community, depth), and children get stable identities from (depth,
+// parent, community index), so the arena is assembled in canonical BFS
+// order regardless of completion order — serial (num_threads == 0) and
+// N-thread builds are byte-identical (pinned by tests and the CI thread
+// matrix).
 
 #ifndef OCA_CORE_RECURSIVE_HIERARCHY_H_
 #define OCA_CORE_RECURSIVE_HIERARCHY_H_
@@ -79,26 +75,6 @@ struct RecursiveHierarchyOptions {
   /// terminates even without the depth cap.
   double stable_similarity = 0.9;
 
-  /// Feed each subgraph solve the parent eigenvector restriction
-  /// (SpectralEngine::WarmStartFromParent). Off = every subgraph solve
-  /// starts cold; exists so benchmarks and tests can measure the chain.
-  bool warm_start = true;
-
-  /// Batch sibling warm-start seeds through the multi-vector CSR kernel:
-  /// when a node splits into k children, all k restriction mat-vecs run
-  /// as ONE SpMM pass over the parent subgraph (chunks of
-  /// kMaxMatVecBatch), producing a shifted-power-polished seed per child
-  /// — one adjacency sweep where the unbatched chain pays one per child,
-  /// and a better seed than the raw restriction (one step of
-  /// (sigma*I - A) amplifies the lambda_min component). Requires
-  /// `warm_start`. NOTE: the polished seed changes each child solve's
-  /// start vector, so iteration counts and low-order spectral bits —
-  /// and therefore Digest() — are comparable only at a fixed setting of
-  /// this flag (they stay invariant across threads and kernels as
-  /// always). Off = the per-child WarmStartFromParent
-  /// restriction, exactly the pre-batching behavior.
-  bool batch_restrictions = true;
-
   /// Worker threads for sibling-subtree expansion. 0 runs the serial
   /// reference implementation (single engine, plain BFS loop); N >= 1
   /// runs the pooled scheduler with N workers and one engine per worker.
@@ -141,18 +117,12 @@ struct RecursiveCommunity {
   /// Spectral record of THIS node's subgraph solve (set whenever the
   /// subgraph was solved, i.e. stop_reason is "split", "stable" or
   /// "no_communities"; zero otherwise). `subgraph_c` is the admissible
-  /// coupling re-resolved on the induced subgraph and is what the inner
-  /// OCA ran with.
+  /// coupling the inner OCA run resolved on the induced subgraph and ran
+  /// with; the three fields copy split_stats' coupling_constant,
+  /// lambda_min and spectral_iterations.
   double subgraph_c = 0.0;
   double subgraph_lambda_min = 0.0;
   size_t spectral_iterations = 0;  // Lanczos steps of the coupling solve
-  bool warm_started = false;       // parent-eigenvector restriction used
-  /// How far up the ancestor chain the warm-start seed came from:
-  /// 0 = cold (no usable seed), 1 = the immediate parent (batched polish
-  /// or direct restriction), d >= 2 = the parent's restriction was
-  /// degenerate (child carries ~no mass of the parent eigenvector) and
-  /// the walk-up found usable mass d levels above instead.
-  uint32_t warm_start_distance = 0;
 
   /// Full OcaRunStats of this node's subgraph run (same condition as
   /// above). For roots the run is the top-level one, recorded once in
@@ -165,10 +135,9 @@ struct RecursiveCommunity {
   bool SubgraphSolved() const { return subgraph_c > 0.0; }
 };
 
-/// Aggregate accounting of the warm-start chain across the whole build.
+/// Aggregate accounting of the subgraph solves across the whole build.
 struct SpectralChainStats {
   size_t subgraph_solves = 0;        // coupling solves below the root
-  size_t warm_started_solves = 0;    // of which seeded from a parent
   size_t total_iterations = 0;       // Lanczos steps summed over them
 };
 
@@ -179,15 +148,10 @@ struct RecursiveSchedulingStats {
   size_t num_workers = 0;     // pool workers (0 = serial reference path)
   size_t tasks_run = 0;       // expansion tasks executed (== tree nodes)
   size_t max_concurrent = 0;  // peak simultaneously running expansions
-  /// warm_started_solves / subgraph_solves (0 when nothing was solved).
+  /// Always 0: every solve starts cold. Kept only because bench/e2e
+  /// still reports it, until the next bench/e2e re-baseline drops it
+  /// (ROADMAP.md).
   double warm_start_hit_rate = 0.0;
-  /// Solves whose seed came from a non-parent ancestor (distance >= 2):
-  /// the immediate parent's restriction was degenerate but the walk-up
-  /// recovered a usable seed higher in the chain.
-  size_t ancestor_warm_hits = 0;
-  /// Deepest ancestor distance any solve's seed travelled (0 when every
-  /// solve was cold).
-  size_t max_warm_start_distance = 0;
 };
 
 /// Per-depth rollup (communities found at that depth and what producing
@@ -197,7 +161,6 @@ struct RecursiveLevelSummary {
   size_t communities = 0;       // tree nodes at this depth
   size_t split = 0;             // of which have children
   size_t subgraph_solves = 0;   // coupling solves run on their subgraphs
-  size_t warm_started = 0;
   size_t spectral_iterations = 0;
 };
 
@@ -210,7 +173,7 @@ struct RecursiveHierarchy {
   std::vector<uint32_t> roots;  // arena indices of the top-level cover
 
   /// Stats of the top-level whole-graph run (its lambda_min/c are the
-  /// flat pipeline's).
+  /// flat pipeline's, and its spectral fields record the root solve).
   OcaRunStats root_stats;
   SpectralChainStats chain;
   RecursiveSchedulingStats scheduling;
@@ -258,37 +221,6 @@ struct RecursiveHierarchy {
 /// density thresholds outside (0, 1]).
 Result<RecursiveHierarchy> BuildRecursiveHierarchy(
     const Graph& graph, const RecursiveHierarchyOptions& options);
-
-/// The cross-solve batcher (exposed for tests and benchmarks): computes
-/// one warm-start seed per child community from a parent graph's
-/// converged lambda_min `eigenvector`, fusing ALL children's restriction
-/// mat-vecs through the multi-vector CSR kernel in chunks of
-/// kMaxMatVecBatch — one adjacency sweep per chunk instead of one per
-/// child.
-///
-/// Per child j the seed is one shifted-power polish of the masked
-/// restriction: x_j = eigenvector masked to child j's nodes (in
-/// `graph`-local ids), w_j = (sigma*I - A) x_j with sigma =
-/// graph.MaxDegree() (so sigma - lambda > 0 weights the lambda_min
-/// component hardest), restricted back to child j's nodes and
-/// normalized. The returned seed is ordered by the child's SORTED
-/// original ids — exactly the local order InducedSubgraph will assign —
-/// so it can be fed to SpectralEngine::SetWarmStart for that child's
-/// solve as-is.
-///
-/// `to_original` maps graph-local index -> original id (sorted
-/// ascending; null = `graph` IS the original graph, identity map).
-/// `children` are in original ids, each sorted ascending, each a subset
-/// of the parent's node set. A child whose restricted mass is below the
-/// usable-signal floor (same 1e-6 rule as WarmStartFromParent) gets an
-/// EMPTY seed — the caller falls back to the ancestor walk-up. The
-/// chunk split is deterministic and each output column's bits are
-/// independent of the chunk width (multi-kernel column contract), so
-/// seeds do not depend on sibling count or order.
-std::vector<std::vector<double>> BatchRestrictionSeeds(
-    const Graph& graph, const std::vector<double>& eigenvector,
-    const std::vector<NodeId>* to_original,
-    const std::vector<Community>& children);
 
 }  // namespace oca
 

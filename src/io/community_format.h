@@ -111,7 +111,9 @@ struct CommunityLevelRecord {
   uint64_t communities;
   uint64_t split;
   uint64_t subgraph_solves;
-  uint64_t warm_started;
+  /// Zero on write, ignored on read. Files written while subgraph solves
+  /// could start from a parent's eigenvector count those solves here.
+  uint64_t reserved;
   uint64_t spectral_iterations;
 };
 static_assert(sizeof(CommunityLevelRecord) == 48 &&

@@ -323,7 +323,7 @@ Result<uint64_t> WriteCommunityStore(const RecursiveHierarchy& tree,
     rec.communities = level.communities;
     rec.split = level.split;
     rec.subgraph_solves = level.subgraph_solves;
-    rec.warm_started = level.warm_started;
+    rec.reserved = 0;
     rec.spectral_iterations = level.spectral_iterations;
     WritePod(out, rec);
   }

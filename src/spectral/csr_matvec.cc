@@ -55,66 +55,6 @@ double RowLoop(const uint64_t* offs, const NodeId* nbr, const double* w,
   return block_acc;
 }
 
-/// Adds edge p's k-wide strip x[nbr[p] * k + j] (times w[p] on a
-/// weighted graph) into acc[0..k).
-template <bool kWeighted, size_t kWidth>
-inline void AddStrip(const NodeId* nbr, const double* w, uint64_t p,
-                     const double* x, double* acc) {
-  const double* xv = x + static_cast<size_t>(nbr[p]) * kWidth;
-  for (size_t j = 0; j < kWidth; ++j) {
-    if constexpr (kWeighted) {
-      acc[j] += w[p] * xv[j];
-    } else {
-      acc[j] += xv[j];
-    }
-  }
-}
-
-/// Multi-vector (SpMM) row loop over k interleaved right-hand sides.
-/// Each column keeps RowLoop's four striped chains, its combine and its
-/// in-order tail, so column j of the result is bit-identical to a
-/// single-vector product on that column.
-template <bool kWeighted, size_t kWidth>
-void MultiRowLoop(const uint64_t* offs, const NodeId* nbr, const double* w,
-                  size_t begin, size_t end, const double* x, double* y) {
-  for (size_t u = begin; u < end; ++u) {
-    const uint64_t b = offs[u];
-    const uint64_t e = offs[u + 1];
-    const uint64_t body_end = b + ((e - b) & ~uint64_t{3});
-    double acc[4][kWidth] = {};
-    for (uint64_t p = b; p < body_end; p += 4) {
-      for (int lane = 0; lane < 4; ++lane) {
-        AddStrip<kWeighted, kWidth>(nbr, w, p + lane, x, acc[lane]);
-      }
-    }
-    double sums[kWidth];
-    for (size_t j = 0; j < kWidth; ++j) {
-      sums[j] = (acc[0][j] + acc[2][j]) + (acc[1][j] + acc[3][j]);
-    }
-    for (uint64_t p = body_end; p < e; ++p) {
-      AddStrip<kWeighted, kWidth>(nbr, w, p, x, sums);
-    }
-    double* yu = y + u * kWidth;
-    for (size_t j = 0; j < kWidth; ++j) yu[j] = sums[j];
-  }
-}
-
-/// MultiRowLoop at compile-time width k, 2 <= k <= kMaxMatVecBatch.
-template <bool kWeighted>
-void MultiRows(const uint64_t* offs, const NodeId* nbr, const double* w,
-               size_t begin, size_t end, const double* x, double* y,
-               size_t k) {
-  switch (k) {
-    case 2: return MultiRowLoop<kWeighted, 2>(offs, nbr, w, begin, end, x, y);
-    case 3: return MultiRowLoop<kWeighted, 3>(offs, nbr, w, begin, end, x, y);
-    case 4: return MultiRowLoop<kWeighted, 4>(offs, nbr, w, begin, end, x, y);
-    case 5: return MultiRowLoop<kWeighted, 5>(offs, nbr, w, begin, end, x, y);
-    case 6: return MultiRowLoop<kWeighted, 6>(offs, nbr, w, begin, end, x, y);
-    case 7: return MultiRowLoop<kWeighted, 7>(offs, nbr, w, begin, end, x, y);
-    default: return MultiRowLoop<kWeighted, 8>(offs, nbr, w, begin, end, x, y);
-  }
-}
-
 template <bool kFused>
 double Rows(const Graph& graph, size_t begin, size_t end, const double* x,
             double* y) {
@@ -169,28 +109,6 @@ double AdjacencyMatVecRowsFused(const Graph& graph, size_t begin, size_t end,
   return Rows<true>(graph, begin, end, x, y);
 }
 
-void AdjacencyMatVecMultiRows(const Graph& graph, size_t begin, size_t end,
-                              const double* x, double* y, size_t k) {
-  if (k < 1 || k > kMaxMatVecBatch) {
-    internal::KernelContractViolation(
-        "AdjacencyMatVecMultiRows: batch width k outside "
-        "[1, kMaxMatVecBatch]");
-  }
-  CheckRowRange(graph, begin, end, x, y);
-  if (k == 1) {  // identical layout; the single-vector loop is the fast path
-    Rows<false>(graph, begin, end, x, y);
-    return;
-  }
-  const uint64_t* offs = graph.offsets().data();
-  const NodeId* nbr = graph.neighbor_array().data();
-  if (graph.is_weighted()) {
-    MultiRows<true>(offs, nbr, graph.weight_array().data(), begin, end, x, y,
-                    k);
-    return;
-  }
-  MultiRows<false>(offs, nbr, nullptr, begin, end, x, y, k);
-}
-
 void AdjacencyMatVec(const Graph& graph, const std::vector<double>& x,
                      std::vector<double>* y) {
   if (x.size() != graph.num_nodes()) {
@@ -206,21 +124,6 @@ void AdjacencyMatVec(const Graph& graph, const std::vector<double>& x,
   }
   y->resize(graph.num_nodes());
   AdjacencyMatVecRows(graph, 0, graph.num_nodes(), x.data(), y->data());
-}
-
-void AdjacencyMatVecMulti(const Graph& graph, const std::vector<double>& x,
-                          std::vector<double>* y, size_t k) {
-  const size_t n = graph.num_nodes();
-  if (k < 1 || x.size() != n * k) {
-    internal::KernelContractViolation(
-        "AdjacencyMatVecMulti: x.size() != graph.num_nodes() * k");
-  }
-  if (y == nullptr || y == &x) {
-    internal::KernelContractViolation(
-        "AdjacencyMatVecMulti: output vector is null or aliases x");
-  }
-  y->resize(n * k);
-  AdjacencyMatVecMultiRows(graph, 0, n, x.data(), y->data(), k);
 }
 
 size_t MatVecBlockRows(size_t n) {

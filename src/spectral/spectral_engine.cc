@@ -32,9 +32,9 @@ double Norm2(const std::vector<double>& x) {
 
 }  // namespace
 
-/// What a pass-1 sweep found at the minimum end: the raw Ritz value,
-/// its Aitken-extrapolated refinement and the error estimate the
-/// coupling bias uses.
+/// What a sweep found at the minimum end: the raw Ritz value, its
+/// Aitken-extrapolated refinement and the error estimate the coupling
+/// bias uses.
 struct SpectralEngine::SweepOutcome {
   bool converged = false;
   double theta = 0.0;           // latest raw Ritz value
@@ -89,38 +89,14 @@ void SpectralEngine::EnsureWorkspace(size_t n) {
 }
 
 void SpectralEngine::PrepareStartVector(const Graph& graph) {
-  const size_t n = graph.num_nodes();
-  start_.resize(n);
-  bool used_warm = false;
-  if (warm_pending_ && warm_.size() == n) {
-    // Consumed by its first matching-size solve (used or degenerate);
-    // a size-mismatched solve leaves it pending, per the contract "the
-    // first subsequent solve whose graph has the same node count".
-    warm_pending_ = false;
-    double norm = Norm2(warm_);
-    if (norm > 0.0 && std::isfinite(norm)) {
-      // Blend a small random component into the warm vector: a
-      // pathological warm start (the contract admits vectors from a
-      // different graph of the same size) must not be exactly orthogonal
-      // to the wanted eigenvector, or the sweep could stagnate at an
-      // interior eigenvalue — the probability-1 guarantee a random start
-      // gives for free. 1e-3 costs a warm solve at most a few steps.
-      Rng rng(options_.seed ^ 0x3A7B9E1Full);
-      const double eps = 1e-3 / std::sqrt(static_cast<double>(n));
-      for (size_t i = 0; i < n; ++i) {
-        start_[i] = warm_[i] / norm + eps * rng.NextGaussian();
-      }
-      double snorm = Norm2(start_);
-      for (double& x : start_) x /= snorm;
-      used_warm = true;
-    }
-  }
-  if (!used_warm) {
-    Rng rng(options_.seed);
-    for (double& x : start_) x = rng.NextGaussian();
-    double norm = Norm2(start_);
-    for (double& x : start_) x /= norm;
-  }
+  // A random unit vector from the configured seed alone: with probability
+  // 1 it is not orthogonal to the wanted eigenvector, and no engine
+  // history can leak into the solve.
+  start_.resize(graph.num_nodes());
+  Rng rng(options_.seed);
+  for (double& x : start_) x = rng.NextGaussian();
+  double norm = Norm2(start_);
+  for (double& x : start_) x /= norm;
 }
 
 void SpectralEngine::MatVec(const Graph& graph, const double* x, double* y) {
@@ -200,45 +176,8 @@ double SpectralEngine::BisectExtreme(size_t k, double lo, double hi,
   return 0.5 * (lo + hi);
 }
 
-void SpectralEngine::TridiagEigenvector(size_t k, double theta,
-                                        std::vector<double>* s) const {
-  std::vector<double>& out = *s;
-  out.assign(k, 1.0 / std::sqrt(static_cast<double>(k)));
-  if (k == 1) {
-    out[0] = 1.0;
-    return;
-  }
-  // Two sweeps of inverse iteration with a Thomas solve; the extreme Ritz
-  // value is well separated inside T, so this converges immediately.
-  for (int sweep = 0; sweep < 2; ++sweep) {
-    tri_d_.resize(k);
-    tri_rhs_ = out;
-    double d0 = alpha_[0] - theta;
-    if (std::fabs(d0) < 1e-12) d0 = d0 < 0.0 ? -1e-12 : 1e-12;
-    tri_d_[0] = d0;
-    for (size_t i = 1; i < k; ++i) {
-      double m = beta_[i - 1] / tri_d_[i - 1];
-      double di = alpha_[i] - theta - m * beta_[i - 1];
-      if (std::fabs(di) < 1e-12) di = di < 0.0 ? -1e-12 : 1e-12;
-      tri_d_[i] = di;
-      tri_rhs_[i] -= m * tri_rhs_[i - 1];
-    }
-    out[k - 1] = tri_rhs_[k - 1] / tri_d_[k - 1];
-    for (size_t i = k - 1; i-- > 0;) {
-      out[i] = (tri_rhs_[i] - beta_[i] * out[i + 1]) / tri_d_[i];
-    }
-    double norm = Norm2(out);
-    if (!(norm > 0.0) || !std::isfinite(norm)) {
-      out.assign(k, 1.0 / std::sqrt(static_cast<double>(k)));
-      return;
-    }
-    for (double& x : out) x /= norm;
-  }
-}
-
 SpectralEngine::SweepOutcome SpectralEngine::LanczosSweep(
-    const Graph& graph, const std::vector<double>* ritz_weights,
-    size_t replay_steps, std::vector<double>* eigenvector) {
+    const Graph& graph) {
   const size_t n = graph.num_nodes();
   EnsureWorkspace(n);
 
@@ -254,24 +193,21 @@ SpectralEngine::SweepOutcome SpectralEngine::LanczosSweep(
   const double ghi = gersh + 1.0;
 
   const double tol = options_.coupling_tolerance;
-  const bool replay = ritz_weights != nullptr;
-  const size_t cap =
-      replay ? replay_steps : std::max<size_t>(options_.max_steps, 1);
+  const size_t cap = std::max<size_t>(options_.max_steps, 1);
 
   std::copy(start_.begin(), start_.end(), v_.begin());
   std::fill(vprev_.begin(), vprev_.begin() + n, 0.0);
   alpha_.clear();
   beta_.clear();
   beta_sq_.clear();
-  // Breakdown restarts draw from a sweep-local generator so a replay
-  // pass reproduces pass 1 bit-for-bit.
+  // Breakdown restarts draw from a sweep-local generator, so a sweep
+  // depends on the graph and the configured seed alone.
   Rng restart_rng(options_.seed ^ 0xA17C3B5Dull);
 
   SweepOutcome out;
   // The last three checkpoints' raw Ritz values, oldest first.
   double hist[3] = {0.0, 0.0, 0.0};
   int hist_count = 0;
-  if (replay) eigenvector->assign(n, 0.0);
 
   auto check_min = [&](size_t k, size_t step) {
     double scale_guess =
@@ -331,18 +267,6 @@ SpectralEngine::SweepOutcome SpectralEngine::LanczosSweep(
 
   double beta_prev = 0.0;
   for (size_t step = 1; step <= cap; ++step) {
-    if (replay) {
-      double wgt = (*ritz_weights)[step - 1];
-      if (wgt != 0.0) {
-        double* y = eigenvector->data();
-        for (size_t i = 0; i < n; ++i) y[i] += wgt * v_[i];
-      }
-      if (step == cap) {
-        out.steps = step;
-        break;  // last basis vector consumed; no need to advance
-      }
-    }
-
     double a = MatVecAlphaStep(graph);
     alpha_.push_back(a);
     double b2 = 0.0;
@@ -355,8 +279,7 @@ SpectralEngine::SweepOutcome SpectralEngine::LanczosSweep(
 
     const bool breakdown = !(b > 1e-12 * std::max(1.0, gersh));
 
-    if (!replay &&
-        ((step % kCheckInterval == 0) || breakdown || step == cap)) {
+    if ((step % kCheckInterval == 0) || breakdown || step == cap) {
       const size_t k = alpha_.size();
       check_min(k, step);
       if (!out.converged && breakdown && k >= n) {
@@ -413,7 +336,7 @@ SpectralEngine::SweepOutcome SpectralEngine::LanczosSweep(
   // geometric tail can exceed it); callers see converged == false and
   // the coupling bias at least leans the right way instead of trusting
   // the raw Ritz value verbatim.
-  if (!replay && !out.converged && hist_count >= 2) {
+  if (!out.converged && hist_count >= 2) {
     out.error_estimate = std::fabs(hist[hist_count - 1] - hist[hist_count - 2]);
   }
 
@@ -437,35 +360,17 @@ SpectralEngine::CacheEntry* SpectralEngine::AddEntry(const Graph& graph) {
   return &cache_.back();
 }
 
-void SpectralEngine::ConsumeWarmStartOnCacheHit(size_t n) {
-  // A cache hit IS the "first subsequent solve" of the warm-start
-  // contract: a size-matching pending vector is consumed (it has nothing
-  // to seed), so it cannot leak into a later unrelated solve that
-  // merely shares the node count. A size-mismatched vector stays
-  // pending, exactly as in PrepareStartVector.
-  if (warm_pending_ && warm_.size() == n) warm_pending_ = false;
-}
-
 Result<CouplingResult> SpectralEngine::CouplingConstant(const Graph& graph) {
-  return CouplingConstantWithVector(graph, nullptr);
-}
-
-Result<CouplingResult> SpectralEngine::CouplingConstantWithVector(
-    const Graph& graph, std::vector<double>* eigenvector) {
   if (Status s = ValidateGraph(graph); !s.ok()) return s;
-  const bool want_vector = eigenvector != nullptr;
-  if (CacheEntry* entry = FindEntry(graph);
-      entry && (!want_vector || !entry->min_eigenvector.empty())) {
+  if (const CacheEntry* entry = FindEntry(graph)) {
     ++cache_hits_;
-    ConsumeWarmStartOnCacheHit(graph.num_nodes());
     CouplingResult hit = entry->coupling;
     hit.iterations = 0;  // answered from cache
-    if (want_vector) *eigenvector = entry->min_eigenvector;
     return hit;
   }
 
   PrepareStartVector(graph);
-  SweepOutcome sweep = LanczosSweep(graph, nullptr, 0, nullptr);
+  SweepOutcome sweep = LanczosSweep(graph);
 
   double lambda_min = sweep.value;
   if (lambda_min >= 0.0) {
@@ -485,77 +390,8 @@ Result<CouplingResult> SpectralEngine::CouplingConstantWithVector(
   }
 
   CouplingResult result{c, lambda_min, sweep.steps, sweep.converged};
-  std::vector<double> vec;
-  if (want_vector) {
-    // Raw Ritz value: the reconstruction must match the basis that was
-    // actually built, not the extrapolated refinement.
-    vec = ReconstructRitzVector(graph, sweep.theta);
-  }
-  CacheEntry* entry = FindEntry(graph);
-  if (entry != nullptr) {
-    // A vector-less cache hit forced a re-sweep; keep the cached coupling
-    // values so repeated calls agree exactly, and only adopt the vector.
-    result = entry->coupling;
-    result.iterations = sweep.steps;
-  } else {
-    entry = AddEntry(graph);
-    entry->coupling = result;
-  }
-  if (want_vector) {
-    entry->min_eigenvector = vec;
-    *eigenvector = std::move(vec);
-  }
+  AddEntry(graph)->coupling = result;
   return result;
-}
-
-std::vector<double> SpectralEngine::ReconstructRitzVector(const Graph& graph,
-                                                          double theta) {
-  // Replay pass: y = sum_j s_j v_j over the basis of the sweep that just
-  // ran (same start vector, same restart stream, bit-identical vectors).
-  const size_t k = alpha_.size();
-  std::vector<double> weights;
-  TridiagEigenvector(k, theta, &weights);
-  std::vector<double> vec;
-  LanczosSweep(graph, &weights, k, &vec);
-  double norm = Norm2(vec);
-  if (norm > 0.0 && std::isfinite(norm)) {
-    for (double& x : vec) x /= norm;
-  }
-  // Deterministic sign: the entry of largest magnitude is positive.
-  size_t arg = 0;
-  for (size_t i = 1; i < vec.size(); ++i) {
-    if (std::fabs(vec[i]) > std::fabs(vec[arg])) arg = i;
-  }
-  if (!vec.empty() && vec[arg] < 0.0) {
-    for (double& x : vec) x = -x;
-  }
-  return vec;
-}
-
-void SpectralEngine::SetWarmStart(std::span<const double> eigenvector) {
-  warm_.assign(eigenvector.begin(), eigenvector.end());
-  warm_pending_ = !warm_.empty();
-}
-
-bool SpectralEngine::WarmStartFromParent(
-    std::span<const double> parent_eigenvector,
-    std::span<const NodeId> to_parent) {
-  if (to_parent.empty()) return false;
-  std::vector<double> restricted(to_parent.size());
-  for (size_t i = 0; i < to_parent.size(); ++i) {
-    if (to_parent[i] >= parent_eigenvector.size()) return false;
-    restricted[i] = parent_eigenvector[to_parent[i]];
-  }
-  double norm = Norm2(restricted);
-  // The useful-signal threshold: if the parent eigenvector carries less
-  // than ~1e-6 of its unit mass on this subgraph, the restriction is
-  // numerically indistinguishable from noise and a random start is the
-  // better seed. (PrepareStartVector renormalizes and blends in its own
-  // random component, so any norm above the floor is safe to use.)
-  if (!(norm > 1e-6) || !std::isfinite(norm)) return false;
-  for (double& x : restricted) x /= norm;
-  SetWarmStart(restricted);
-  return true;
 }
 
 void SpectralEngine::Forget(const Graph& graph) {

@@ -1,25 +1,26 @@
 // SpectralEngine: the shared, workspace-reusing eigensolver behind the
 // one spectral quantity the OCA pipeline needs, the coupling constant
-// c = -1/lambda_min of the paper's Section II (and, for warm-start
-// chains, lambda_min's Ritz vector).
+// c = -1/lambda_min of the paper's Section II.
 //
 // Why an engine instead of free functions: the paper's pipeline resolves
 // c repeatedly (once per OCA run, once per hierarchy level, once per
 // subgraph a caller explores), and the seed implementation paid for a
-// cold random start, a fixed 1e-7 eigenpair tolerance, and two full
-// power-method phases every time. The engine amortizes all three:
+// fixed 1e-7 eigenpair tolerance and two full power-method phases every
+// time. The engine amortizes both:
 //
 //   * Workspaces (iteration vectors, reduction partials, recurrence
 //     coefficients) are owned by the engine and reused across calls —
 //     zero per-call allocation after warm-up.
 //   * Results are cached per graph, so a hierarchy build or a repeated
-//     pipeline run pays for the spectral solve once; `SetWarmStart`
-//     seeds the next cold solve from a prior eigenvector (e.g. the
-//     parent hierarchy level's) instead of a random vector.
+//     pipeline run pays for the spectral solve once.
 //   * Convergence is adaptive: the solver targets relative error in c
 //     itself (c only needs a few significant digits — see
 //     SpectralEngineOptions::coupling_tolerance) instead of iterating a
 //     fixed eigenpair tolerance to exhaustion.
+//
+// Every solve starts from a random vector drawn from the configured seed
+// alone, which is what the Lanczos error bounds assume and what makes a
+// solve's result independent of the engine's history.
 //
 // Algorithm: a shift-free Lanczos (Krylov) recurrence on the adjacency
 // matrix, tracking its minimum end only. One fused CSR pass per step
@@ -55,7 +56,6 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "graph/graph.h"
@@ -160,44 +160,9 @@ class SpectralEngine {
   double MatVecFused(const Graph& graph, const double* x, double* y);
 
   /// The coupling constant c = -1/lambda_min at `coupling_tolerance`
-  /// (single Lanczos sweep for the minimum end only). Cached per graph.
-  /// Errors on empty/edgeless graphs.
+  /// (single Lanczos sweep for the minimum end only, from the seed's
+  /// start vector). Cached per graph. Errors on empty/edgeless graphs.
   Result<CouplingResult> CouplingConstant(const Graph& graph);
-
-  /// CouplingConstant plus the lambda_min Ritz vector of the same sweep,
-  /// reconstructed by a replay pass and cached as the graph's
-  /// min-eigenvector (usable through WarmStartFromParent). This is the
-  /// entry point for warm-start chains across evolving graphs: each
-  /// solve both consumes a pending warm start and produces the
-  /// eigenvector the next (sub)graph's solve is seeded from.
-  /// `eigenvector` may be null when only the caching side effect is
-  /// wanted. The eigenvector is resolved at `coupling_tolerance`, loose
-  /// by eigenpair standards — good enough to seed a Krylov space; a
-  /// tighter `coupling_tolerance` tightens it too. A cache hit with a
-  /// stored vector costs nothing; a cache hit without one replays a
-  /// fresh sweep for the vector but keeps the cached coupling values, so
-  /// repeated calls agree exactly.
-  Result<CouplingResult> CouplingConstantWithVector(
-      const Graph& graph, std::vector<double>* eigenvector);
-
-  /// Seeds the next cold solve's start vector (copied). Applies once, to
-  /// the first subsequent solve whose graph has the same node count (a
-  /// cache hit counts as that solve and consumes the vector); ignored
-  /// otherwise. Intended for warm-starting a level's eigenvector from
-  /// the parent level when a graph evolves between solves.
-  void SetWarmStart(std::span<const double> eigenvector);
-
-  /// Cross-graph warm-start restriction: registers (via SetWarmStart)
-  /// the renormalized restriction of a parent graph's eigenvector onto a
-  /// subgraph's node set. `to_parent[i]` is the parent-side index of the
-  /// subgraph's local node i — for a subgraph induced from the parent
-  /// graph itself this is exactly `Subgraph::to_original`. Returns false
-  /// and registers nothing when the restriction is unusable: empty map,
-  /// an index out of range, or a restricted norm too small to carry
-  /// spectral information (the parent eigenvector has essentially no
-  /// mass on this subgraph, so a random start is the better seed).
-  bool WarmStartFromParent(std::span<const double> parent_eigenvector,
-                           std::span<const NodeId> to_parent);
 
   /// Drops the cache entry for `graph` (e.g. once a subgraph is done
   /// with, to bound the cache).
@@ -216,7 +181,6 @@ class SpectralEngine {
   struct CacheEntry {
     uint64_t graph_id = 0;  // Graph::id() of the solved graph
     CouplingResult coupling;
-    std::vector<double> min_eigenvector;  // empty unless a vector was asked
   };
 
   CacheEntry* FindEntry(const Graph& graph);
@@ -226,10 +190,6 @@ class SpectralEngine {
   Status ValidateGraph(const Graph& graph) const;
   void EnsureWorkspace(size_t n);
   void PrepareStartVector(const Graph& graph);
-  /// A cache hit counts as the warm-start contract's "first subsequent
-  /// solve": consumes a size-matching pending vector so it cannot leak
-  /// into a later unrelated solve.
-  void ConsumeWarmStartOnCacheHit(size_t n);
   size_t ResolvedThreads() const;
   bool UseParallel(const Graph& graph) const;
 
@@ -238,27 +198,13 @@ class SpectralEngine {
   double MatVecAlphaStep(const Graph& graph);
 
   /// Runs the Lanczos recurrence until the minimum end converges at
-  /// `coupling_tolerance` or `max_steps` run out (pass 1,
-  /// `ritz_weights == nullptr`), or replays exactly `replay_steps` steps
-  /// accumulating `*eigenvector += ritz_weights[j] * v_j` (pass 2).
-  SweepOutcome LanczosSweep(const Graph& graph,
-                            const std::vector<double>* ritz_weights,
-                            size_t replay_steps,
-                            std::vector<double>* eigenvector);
+  /// `coupling_tolerance` or `max_steps` run out.
+  SweepOutcome LanczosSweep(const Graph& graph);
 
   /// Smallest eigenvalue of the current tridiagonal T_k by Sturm
   /// bisection within [lo, hi].
   double BisectExtreme(size_t k, double lo, double hi, double abs_tol) const;
   size_t SturmCountBelow(size_t k, double x) const;
-
-  /// Unit eigenvector `s` of T_k for Ritz value theta, via inverse
-  /// iteration.
-  void TridiagEigenvector(size_t k, double theta, std::vector<double>* s) const;
-
-  /// Replays the sweep that just ran (pass 2 over the same start vector
-  /// and restart stream) to reconstruct the unit Ritz vector for `theta`,
-  /// sign-fixed so the largest-magnitude entry is positive.
-  std::vector<double> ReconstructRitzVector(const Graph& graph, double theta);
 
   SpectralEngineOptions options_;
   std::unique_ptr<ThreadPool> pool_;
@@ -272,11 +218,6 @@ class SpectralEngine {
   std::vector<double> alpha_;    // T diagonal
   std::vector<double> beta_;     // T off-diagonal
   std::vector<double> beta_sq_;  // squared off-diagonal (Sturm)
-  mutable std::vector<double> tri_d_;    // Thomas-solve scratch
-  mutable std::vector<double> tri_rhs_;  // Thomas-solve scratch
-
-  std::vector<double> warm_;  // pending SetWarmStart vector
-  bool warm_pending_ = false;
 
   std::vector<CacheEntry> cache_;
   size_t total_matvecs_ = 0;
@@ -289,22 +230,19 @@ class SpectralEngine {
 /// any graph with at least one edge, lambda_min <= -1, hence c in (0, 1]
 /// (clamped to kMaxCouplingConstant). Errors on empty/edgeless graphs.
 /// Callers that resolve c repeatedly should hold a SpectralEngine
-/// instead to get workspace reuse, per-graph caching, and warm starts.
+/// instead to get workspace reuse and per-graph caching.
 Result<double> ComputeCouplingConstant(const Graph& graph,
                                        const PowerMethodOptions& options = {});
 
 /// A fixed fleet of independently owned engines for worker-parallel
-/// callers. An engine is stateful (workspaces, per-graph cache, pending
-/// warm start) and not thread-safe, so a task scheduler holds one engine
-/// per pool worker and routes every solve of a task through the engine
-/// of the worker running it (`ThreadPool::CurrentWorkerIndex`): two
-/// tasks that observe the same index are serialized on that worker, so
-/// no engine is ever touched concurrently. Cross-engine state handoff
-/// happens through values, not shared engines — a parent task publishes
-/// its solve's eigenvector, and the child task feeds it to its own
-/// worker's engine via `WarmStartFromParent`. All engines share one
-/// configuration; per-solve results are identical across engines (start
-/// vectors derive from the configured seed, not engine history).
+/// callers. An engine is stateful (workspaces, per-graph cache) and not
+/// thread-safe, so a task scheduler holds one engine per pool worker and
+/// routes every solve of a task through the engine of the worker running
+/// it (`ThreadPool::CurrentWorkerIndex`): two tasks that observe the
+/// same index are serialized on that worker, so no engine is ever
+/// touched concurrently. All engines share one configuration; per-solve
+/// results are identical across engines (start vectors derive from the
+/// configured seed, not engine history).
 class SpectralEngineSet {
  public:
   SpectralEngineSet(size_t count, const SpectralEngineOptions& options);

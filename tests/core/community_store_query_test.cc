@@ -150,6 +150,28 @@ TEST_F(CommunityStoreQueryTest, SiblingBufferIsReusedAndCleared) {
   EXPECT_TRUE(out.empty());
 }
 
+// The writer keeps the tree's root order, and a tree may list its roots
+// out of order. The root level must still answer sorted: the same list
+// as the in-order file, node by node.
+TEST_F(CommunityStoreQueryTest, RootsListedOutOfOrderAnswerSorted) {
+  RecursiveHierarchy tree = HandcraftedTree();
+  tree.roots = {1, 0};
+  const std::string path =
+      ::testing::TempDir() + "/oca_store_query_reversed_roots.ocac";
+  auto written = WriteCommunityStoreFile(tree, kNodes, 13, path);
+  ASSERT_TRUE(written.ok()) << written.status().ToString();
+  auto reversed = CommunityStore::Open(path);
+  ASSERT_TRUE(reversed.ok()) << reversed.status().ToString();
+  ASSERT_EQ(reversed->Roots()[0], 1u);  // out of order on disk
+  std::vector<uint32_t> out;
+  for (NodeId v = 0; v < kNodes; ++v) {
+    reversed->SiblingsAtLevel(v, 0, &out);
+    EXPECT_EQ(out, Siblings(v, 0)) << "node " << v;
+  }
+  reversed->SiblingsAtLevel(4, 0, &out);
+  EXPECT_EQ(out, (U32s{0, 1}));
+}
+
 TEST_F(CommunityStoreQueryTest, ConcurrentReadersMatchSerialAnswers) {
   // Serial ground truth for every (query, node, level) this store can
   // answer, captured once up front.

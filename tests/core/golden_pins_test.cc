@@ -86,18 +86,20 @@ struct Case {
 // The tree pin hashes structure alone: communities, links and stop
 // reasons. The iteration pin holds what the tree's subgraph solves
 // spent, which moves whenever their start vectors do, although no
-// community moves with it. Earlier moves of the tree: the unweighted
-// tree, and the recursive snapshot hash below, moved when the integer
-// climber took up the smallest-id tie rule (exact deg-in ties in the
-// subgraph climbs fall to the smallest id); the weighted top-level
-// cover holds a root spanning the whole graph, and that root's run
-// draws its own seed instead of replaying the top-level run. The flat
-// covers did not move.
+// community moves with it: it was re-recorded once when subgraph solves
+// stopped starting from the parent's eigenvector and started cold
+// (500 -> 548 and 448 -> 516 steps). Earlier moves of the tree: the
+// unweighted tree, and the recursive snapshot hash below, moved when
+// the integer climber took up the smallest-id tie rule (exact deg-in
+// ties in the subgraph climbs fall to the smallest id); the weighted
+// top-level cover holds a root spanning the whole graph, and that
+// root's run draws its own seed instead of replaying the top-level run.
+// The flat covers did not move.
 constexpr Case kCases[] = {
     {"nested21", false, 36, 0.10578983723657727, 0x27af20129aba5a7dull,
-     0xb099da6f06f0d96bull, 500, 0xad00826279d63eb1ull},
+     0xb099da6f06f0d96bull, 548, 0x2e3e66ce374b2359ull},
     {"nested21_hashed_weights", true, 44, 0.077502395249435155,
-     0x52928ca08d2a28a3ull, 0xacdc9a8b16f386eeull, 448, 0xd1bb1b50d6a65575ull},
+     0x52928ca08d2a28a3ull, 0xacdc9a8b16f386eeull, 516, 0x2a9513227385b781ull},
 };
 
 Graph GraphFor(const Case& tc) {
@@ -235,7 +237,10 @@ uint64_t LinkSectionsHash(const std::string& bytes) {
 TEST(GoldenPinsTest, SnapshotBytes) {
   const uint64_t handcrafted =
       BytesHash(Snapshot(testing::HandcraftedTree(), 8, 11));
-  EXPECT_EQ(handcrafted, 0xaa859d4ccd53e20bull)
+  // Re-recorded once, when Digest() stopped mixing the warm-start
+  // fields: the file differs from the earlier one only in the header's
+  // tree_digest, bytes 104-111.
+  EXPECT_EQ(handcrafted, 0x17d5e6c7362993ull)
       << std::hex << " got 0x" << handcrafted;
 
   const Case& tc = kCases[0];

@@ -119,7 +119,7 @@ void ExpectStoreEqualsTree(const CommunityStore& store,
     EXPECT_EQ(levels[i].communities, summaries[i].communities);
     EXPECT_EQ(levels[i].split, summaries[i].split);
     EXPECT_EQ(levels[i].subgraph_solves, summaries[i].subgraph_solves);
-    EXPECT_EQ(levels[i].warm_started, summaries[i].warm_started);
+    EXPECT_EQ(levels[i].reserved, 0u);
     EXPECT_EQ(levels[i].spectral_iterations,
               summaries[i].spectral_iterations);
   }

@@ -3,9 +3,8 @@
 //
 // These pin the acceptance criteria of the recursive hierarchy on
 // multi-hundred-node nested planted partitions: valid trees, quality
-// against the planted fine scale, and the cross-graph warm-start chain
-// reporting strictly fewer Lanczos iterations than cold solves at
-// identical converged coupling constants.
+// against the planted fine scale, serial == pooled builds at scale and
+// membership paths over every covered node.
 
 #include <gtest/gtest.h>
 
@@ -32,13 +31,12 @@ NestedBenchmarkGraph LargeNested(uint64_t seed) {
   return GenerateNestedPartition(gen).value();
 }
 
-RecursiveHierarchyOptions LargeOptions(uint64_t seed, bool warm) {
+RecursiveHierarchyOptions LargeOptions(uint64_t seed) {
   RecursiveHierarchyOptions opt;
   opt.base.seed = seed;
   opt.base.halting.max_seeds = 1800;
   opt.base.halting.target_coverage = 0.98;
   opt.base.halting.stagnation_window = 150;
-  opt.warm_start = warm;
   return opt;
 }
 
@@ -46,8 +44,7 @@ TEST(LargeRecursiveHierarchyTest, TreeIsValidAndLeavesMatchFineScale) {
   for (uint64_t seed : {3u, 7u, 11u}) {
     auto bench = LargeNested(seed);
     auto tree =
-        BuildRecursiveHierarchy(bench.graph, LargeOptions(seed, true))
-            .value();
+        BuildRecursiveHierarchy(bench.graph, LargeOptions(seed)).value();
     ASSERT_FALSE(tree.roots.empty()) << "seed " << seed;
     for (const RecursiveCommunity& node : tree.nodes) {
       if (node.parent == RecursiveHierarchy::kNoParent) continue;
@@ -67,43 +64,6 @@ TEST(LargeRecursiveHierarchyTest, TreeIsValidAndLeavesMatchFineScale) {
   }
 }
 
-TEST(LargeRecursiveHierarchyTest, WarmChainBeatsColdAtIdenticalCoupling) {
-  size_t warm_total = 0;
-  size_t cold_total = 0;
-  for (uint64_t seed : {3u, 7u, 11u}) {
-    auto bench = LargeNested(seed);
-    auto warm =
-        BuildRecursiveHierarchy(bench.graph, LargeOptions(seed, true))
-            .value();
-    auto cold =
-        BuildRecursiveHierarchy(bench.graph, LargeOptions(seed, false))
-            .value();
-
-    ASSERT_GT(warm.chain.subgraph_solves, 0u) << "seed " << seed;
-    EXPECT_EQ(warm.chain.warm_started_solves, warm.chain.subgraph_solves);
-
-    // Identical converged c, node for node, within coupling tolerance.
-    ASSERT_EQ(warm.nodes.size(), cold.nodes.size()) << "seed " << seed;
-    const double tol =
-        LargeOptions(seed, true).base.power_method.coupling_tolerance;
-    for (size_t i = 0; i < warm.nodes.size(); ++i) {
-      EXPECT_EQ(warm.nodes[i].community, cold.nodes[i].community);
-      if (warm.nodes[i].subgraph_c > 0.0) {
-        EXPECT_NEAR(warm.nodes[i].subgraph_c, cold.nodes[i].subgraph_c,
-                    2.0 * tol * warm.nodes[i].subgraph_c)
-            << "seed " << seed << " node " << i;
-      }
-    }
-    EXPECT_LE(warm.chain.total_iterations, cold.chain.total_iterations)
-        << "seed " << seed;
-    warm_total += warm.chain.total_iterations;
-    cold_total += cold.chain.total_iterations;
-  }
-  // The acceptance bar: the physically informed start must be strictly
-  // cheaper in aggregate, not merely no worse.
-  EXPECT_LT(warm_total, cold_total);
-}
-
 TEST(LargeRecursiveHierarchyTest, ParallelBuildIsByteIdenticalAtScale) {
   // The multi-hundred-node version of the serial-vs-parallel pin: deep
   // enough that sibling subtrees genuinely overlap in flight. The
@@ -113,9 +73,8 @@ TEST(LargeRecursiveHierarchyTest, ParallelBuildIsByteIdenticalAtScale) {
   for (uint64_t seed : {3u, 7u}) {
     auto bench = LargeNested(seed);
     auto serial =
-        BuildRecursiveHierarchy(bench.graph, LargeOptions(seed, true))
-            .value();
-    RecursiveHierarchyOptions pooled_opt = LargeOptions(seed, true);
+        BuildRecursiveHierarchy(bench.graph, LargeOptions(seed)).value();
+    RecursiveHierarchyOptions pooled_opt = LargeOptions(seed);
     pooled_opt.num_threads = threads;
     auto pooled =
         BuildRecursiveHierarchy(bench.graph, pooled_opt).value();
@@ -141,8 +100,7 @@ TEST(LargeRecursiveHierarchyTest, ParallelBuildIsByteIdenticalAtScale) {
 
 TEST(LargeRecursiveHierarchyTest, MembershipPathsCoverEveryCoveredNode) {
   auto bench = LargeNested(3);
-  auto tree = BuildRecursiveHierarchy(bench.graph, LargeOptions(3, true))
-                  .value();
+  auto tree = BuildRecursiveHierarchy(bench.graph, LargeOptions(3)).value();
   auto covered = [&](NodeId v) {
     for (uint32_t root : tree.roots) {
       const Community& c = tree.nodes[root].community;

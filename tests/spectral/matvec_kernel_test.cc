@@ -1,7 +1,7 @@
 // The CSR mat-vec kernel contract (spectral/csr_matvec.h): one row
 // kernel behind every adjacency product, with a fixed, documented
-// operation order, so plain / fused / multi-vector and serial /
-// blocked-parallel products are BIT-IDENTICAL and no digest can depend
+// operation order, so plain / fused and serial / blocked-parallel
+// products are BIT-IDENTICAL and no digest can depend
 // on how a product was run. Plus the cache-aware reordering pass: a
 // reordered graph is the same graph (structure preserved, results
 // mappable to original ids, converged c in agreement), and its builds
@@ -64,17 +64,15 @@ TEST(CsrKernelTest, VariantsAreBitIdenticalOnRandomGraphs) {
   }
 }
 
-/// Row u of column j of A x, where x holds k interleaved columns
-/// (column j of node v at x[v * k + j]), computed in the documented
-/// operation order: four striped partial sums over the largest
-/// 4-multiple prefix of the row (lane i % 4 adds term i), combined as
-/// (a0 + a2) + (a1 + a3), then the remaining 0-3 terms in order. A
-/// weighted term is w * x, multiplied before it is added.
-double ReferenceRow(const Graph& g, NodeId u, const double* x, size_t k,
-                    size_t j) {
+/// Row u of A x computed in the documented operation order: four
+/// striped partial sums over the largest 4-multiple prefix of the row
+/// (lane i % 4 adds term i), combined as (a0 + a2) + (a1 + a3), then
+/// the remaining 0-3 terms in order. A weighted term is w * x,
+/// multiplied before it is added.
+double ReferenceRow(const Graph& g, NodeId u, const double* x) {
   const auto nbrs = g.Neighbors(u);
   auto term = [&](size_t i) {
-    const double xv = x[static_cast<size_t>(nbrs[i]) * k + j];
+    const double xv = x[nbrs[i]];
     return g.is_weighted() ? g.Weights(u)[i] * xv : xv;
   };
   const size_t body = nbrs.size() & ~size_t{3};
@@ -87,7 +85,7 @@ double ReferenceRow(const Graph& g, NodeId u, const double* x, size_t k,
 
 // Pins the kernel's operation order bit for bit on every body/tail
 // split: rows of degree 0 through 9, unweighted and weighted, through
-// the plain, fused and multi-vector entry points.
+// the plain and fused entry points.
 TEST(CsrKernelTest, ShortAndRaggedRowsMatchNaiveReference) {
   // Stars of size 0..9 packed into one graph: degrees 0 through 9 plus
   // one hub per star, hitting every body/tail split.
@@ -113,7 +111,7 @@ TEST(CsrKernelTest, ShortAndRaggedRowsMatchNaiveReference) {
     std::vector<double> want(n);
     double want_alpha = 0.0;
     for (NodeId u = 0; u < n; ++u) {
-      want[u] = ReferenceRow(*g, u, x.data(), 1, 0);
+      want[u] = ReferenceRow(*g, u, x.data());
       want_alpha += want[u] * x[u];
     }
 
@@ -126,20 +124,6 @@ TEST(CsrKernelTest, ShortAndRaggedRowsMatchNaiveReference) {
     EXPECT_TRUE(BitIdentical(yf, want)) << "AdjacencyMatVecRowsFused";
     EXPECT_TRUE(BitIdentical(alpha, want_alpha))
         << "fused alpha " << alpha << " vs " << want_alpha;
-
-    for (size_t k : {size_t{2}, size_t{4}, size_t{8}}) {
-      const std::vector<double> xk = RandomVector(n * k, 100 + k);
-      std::vector<double> yk;
-      AdjacencyMatVecMulti(*g, xk, &yk, k);
-      ASSERT_EQ(yk.size(), n * k);
-      std::vector<double> wantk(n * k);
-      for (NodeId u = 0; u < n; ++u) {
-        for (size_t j = 0; j < k; ++j) {
-          wantk[u * k + j] = ReferenceRow(*g, u, xk.data(), k, j);
-        }
-      }
-      EXPECT_TRUE(BitIdentical(yk, wantk)) << "AdjacencyMatVecMulti k " << k;
-    }
   }
 }
 

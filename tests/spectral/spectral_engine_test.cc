@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
 #include <optional>
 
 #include "gen/erdos_renyi.h"
@@ -96,51 +95,6 @@ TEST(SpectralEngineTest, CouplingMatchesTightReferenceTo4Digits) {
   }
 }
 
-TEST(SpectralEngineTest, WarmStartEqualsColdStartAccuracy) {
-  Rng rng(31);
-  Graph g = ErdosRenyi(200, 0.06, &rng).value();
-  ASSERT_GT(g.num_edges(), 0u);
-
-  SpectralEngine cold;
-  auto cold_result = cold.CouplingConstant(g).value();
-
-  // Obtain the min-end eigenvector, then warm-start a fresh engine with
-  // it. The warm solve must agree with the cold one to the same
-  // tolerance (and typically converge in fewer steps).
-  SpectralEngine vec_engine(TightOptions());
-  std::vector<double> eigenvector;
-  auto pair = vec_engine.CouplingConstantWithVector(g, &eigenvector).value();
-  ASSERT_TRUE(pair.converged);
-
-  SpectralEngine warm;
-  warm.SetWarmStart(eigenvector);
-  auto warm_result = warm.CouplingConstant(g).value();
-
-  EXPECT_LT(RelDiff(warm_result.c, cold_result.c), 1e-4);
-  EXPECT_LT(RelDiff(warm_result.lambda_min, cold_result.lambda_min), 1e-4);
-  EXPECT_TRUE(warm_result.converged);
-}
-
-// The replay pass the warm-start chain uses rebuilds a true eigenvector:
-// at a tight tolerance the Ritz vector satisfies A x = lambda_min x.
-TEST(SpectralEngineTest, MinRitzVectorSatisfiesDefinition) {
-  Graph g = KarateClub();
-  SpectralEngine engine(TightOptions());
-  std::vector<double> x;
-  auto result = engine.CouplingConstantWithVector(g, &x).value();
-  ASSERT_TRUE(result.converged);
-  ASSERT_EQ(x.size(), g.num_nodes());
-  // ||A x - lambda x|| small.
-  std::vector<double> y(g.num_nodes());
-  engine.MatVec(g, x.data(), y.data());
-  double err = 0.0;
-  for (size_t i = 0; i < y.size(); ++i) {
-    double r = y[i] - result.lambda_min * x[i];
-    err += r * r;
-  }
-  EXPECT_LT(std::sqrt(err), 1e-3);
-}
-
 TEST(SpectralEngineTest, DeterministicAcrossThreadCounts) {
   // 6,000 nodes: three row blocks (MatVecBlockRows) and ~114k entries,
   // so the 4-thread engine runs its mat-vecs on the pool.
@@ -165,15 +119,12 @@ TEST(SpectralEngineTest, DeterministicAcrossThreadCounts) {
   SpectralEngine serial(serial_opts);
   SpectralEngine parallel(parallel_opts);
 
-  std::vector<double> va, vb;
-  auto a = serial.CouplingConstantWithVector(g, &va).value();
-  auto b = parallel.CouplingConstantWithVector(g, &vb).value();
+  auto a = serial.CouplingConstant(g).value();
+  auto b = parallel.CouplingConstant(g).value();
   // Fixed-block reductions: bit-identical, not merely close.
   EXPECT_EQ(a.c, b.c);
   EXPECT_EQ(a.lambda_min, b.lambda_min);
   EXPECT_EQ(a.iterations, b.iterations);
-  ASSERT_EQ(va.size(), vb.size());
-  EXPECT_EQ(std::memcmp(va.data(), vb.data(), va.size() * sizeof(double)), 0);
 }
 
 TEST(SpectralEngineTest, DeterministicPerSeed) {
@@ -184,23 +135,31 @@ TEST(SpectralEngineTest, DeterministicPerSeed) {
   auto b = e2.CouplingConstant(g).value();
   EXPECT_EQ(a.c, b.c);
   EXPECT_EQ(a.iterations, b.iterations);
+
+  // History independence, which the pooled hierarchy relies on: an
+  // engine that already solved other graphs (one of the same size) and
+  // forgot one of them answers g exactly as a fresh engine does.
+  Graph same_size = ErdosRenyi(120, 0.09, &rng).value();
+  Graph other = KarateClub();
+  SpectralEngine used;
+  ASSERT_TRUE(used.CouplingConstant(same_size).ok());
+  ASSERT_TRUE(used.CouplingConstant(other).ok());
+  used.Forget(same_size);
+  auto c = used.CouplingConstant(g).value();
+  EXPECT_EQ(c.c, a.c);
+  EXPECT_EQ(c.lambda_min, a.lambda_min);
+  EXPECT_EQ(c.iterations, a.iterations);
+  EXPECT_EQ(c.converged, a.converged);
 }
 
 TEST(SpectralEngineTest, EmptyAndEdgelessErrorPaths) {
   SpectralEngine engine;
-  std::vector<double> vec;
   Graph empty;
   EXPECT_TRUE(engine.CouplingConstant(empty).status().IsInvalidArgument());
-  EXPECT_TRUE(engine.CouplingConstantWithVector(empty, &vec)
-                  .status()
-                  .IsInvalidArgument());
 
   Graph edgeless = BuildGraph(5, {}).value();
   EXPECT_TRUE(
       engine.CouplingConstant(edgeless).status().IsFailedPrecondition());
-  EXPECT_TRUE(engine.CouplingConstantWithVector(edgeless, &vec)
-                  .status()
-                  .IsFailedPrecondition());
 }
 
 TEST(SpectralEngineTest, CachesPerGraphAndForgetDropsEntries) {
@@ -250,120 +209,6 @@ TEST(SpectralEngineTest, GraphBuiltWhereADeadOneLivedMissesTheCache) {
   const auto again = engine.CouplingConstant(copy).value();
   EXPECT_EQ(again.iterations, 0u);
   EXPECT_EQ(again.c, star.c);
-}
-
-TEST(SpectralEngineTest, CouplingWithVectorReturnsUsableEigenvector) {
-  Rng rng(33);
-  Graph g = ErdosRenyi(120, 0.07, &rng).value();
-  SpectralEngine engine;
-  std::vector<double> vec;
-  auto coupling = engine.CouplingConstantWithVector(g, &vec).value();
-  ASSERT_EQ(vec.size(), g.num_nodes());
-  EXPECT_GT(coupling.iterations, 0u);
-
-  // Unit norm, and its Rayleigh quotient x'Ax sits near lambda_min (the
-  // vector is resolved at the loose coupling tolerance, so only ask for
-  // a few percent).
-  double norm_sq = 0.0;
-  for (double x : vec) norm_sq += x * x;
-  EXPECT_NEAR(norm_sq, 1.0, 1e-9);
-  std::vector<double> product(g.num_nodes());
-  double rq = engine.MatVecFused(g, vec.data(), product.data());
-  EXPECT_LT(RelDiff(rq, coupling.lambda_min), 0.05);
-
-  // The vector is cached for warm-start chaining: a repeat call is a
-  // pure cache hit returning the same pair.
-  size_t matvecs = engine.total_matvecs();
-  std::vector<double> again;
-  auto hit = engine.CouplingConstantWithVector(g, &again).value();
-  EXPECT_EQ(engine.total_matvecs(), matvecs);
-  EXPECT_EQ(hit.iterations, 0u);
-  EXPECT_DOUBLE_EQ(hit.c, coupling.c);
-  EXPECT_EQ(again, vec);
-}
-
-TEST(SpectralEngineTest, CouplingWithVectorAfterVectorlessHitKeepsC) {
-  Rng rng(34);
-  Graph g = ErdosRenyi(120, 0.07, &rng).value();
-  SpectralEngine engine;
-  auto plain = engine.CouplingConstant(g).value();
-  // The coupling value is cached but no vector exists yet: the call must
-  // re-sweep for the vector while returning the cached c unchanged.
-  std::vector<double> vec;
-  auto with_vec = engine.CouplingConstantWithVector(g, &vec).value();
-  EXPECT_DOUBLE_EQ(with_vec.c, plain.c);
-  EXPECT_DOUBLE_EQ(with_vec.lambda_min, plain.lambda_min);
-  EXPECT_GT(with_vec.iterations, 0u);
-  EXPECT_EQ(vec.size(), g.num_nodes());
-}
-
-TEST(SpectralEngineTest, WarmStartFromParentRestrictsAndRegisters) {
-  // Parent: two overlapping cliques; subgraph: one clique. The parent's
-  // lambda_min eigenvector restricted onto the clique is a legitimate
-  // start vector, and the warm-started solve must converge to the same
-  // c as a cold solve within the coupling tolerance.
-  Graph parent = testing::TwoCliquesOverlap();
-  SpectralEngine engine;
-  std::vector<double> parent_vec;
-  ASSERT_TRUE(engine.CouplingConstantWithVector(parent, &parent_vec).ok());
-
-  std::vector<NodeId> to_parent = {0, 1, 2, 3, 4, 5};
-  Graph sub = Clique(6);
-  EXPECT_TRUE(engine.WarmStartFromParent(parent_vec, to_parent));
-  auto warm = engine.CouplingConstant(sub).value();
-
-  SpectralEngine cold_engine;
-  auto cold = cold_engine.CouplingConstant(sub).value();
-  EXPECT_LT(RelDiff(warm.c, cold.c),
-            2.0 * engine.options().coupling_tolerance);
-  EXPECT_NEAR(warm.lambda_min, -1.0, 1e-5);  // K6
-}
-
-TEST(SpectralEngineTest, CacheHitConsumesSizeMatchingWarmStart) {
-  // A pending warm start whose target solve is answered from the cache
-  // must be consumed there, not leak into a later unrelated solve of
-  // the same node count.
-  Rng rng(35);
-  Graph a = ErdosRenyi(80, 0.1, &rng).value();
-  Graph b = ErdosRenyi(80, 0.1, &rng).value();
-  SpectralEngine engine;
-  std::vector<double> vec;
-  // Populate a's cache including the eigenvector, so the next call is a
-  // pure hit (no sweep at all).
-  ASSERT_TRUE(engine.CouplingConstantWithVector(a, &vec).ok());
-
-  std::vector<double> junk(80, 1.0);
-  engine.SetWarmStart(junk);
-  size_t matvecs = engine.total_matvecs();
-  auto hit = engine.CouplingConstantWithVector(a, &vec);
-  ASSERT_TRUE(hit.ok());
-  ASSERT_EQ(engine.total_matvecs(), matvecs);  // pure cache hit
-  // b's solve must now be a genuinely cold start: identical to a fresh
-  // engine that never saw the warm vector.
-  auto after_hit = engine.CouplingConstant(b).value();
-  SpectralEngine fresh;
-  auto cold = fresh.CouplingConstant(b).value();
-  EXPECT_EQ(after_hit.iterations, cold.iterations);
-  EXPECT_DOUBLE_EQ(after_hit.c, cold.c);
-}
-
-TEST(SpectralEngineTest, WarmStartFromParentRejectsDegenerateInput) {
-  SpectralEngine engine;
-  std::vector<double> parent_vec(10, 0.1);
-
-  // Empty map.
-  EXPECT_FALSE(engine.WarmStartFromParent(parent_vec, {}));
-  // Out-of-range index.
-  std::vector<NodeId> bad = {0, 12};
-  EXPECT_FALSE(engine.WarmStartFromParent(parent_vec, bad));
-  // Restriction with (near-)zero mass.
-  std::vector<double> lopsided(10, 0.0);
-  lopsided[9] = 1.0;
-  std::vector<NodeId> zero_mass = {0, 1, 2};
-  EXPECT_FALSE(engine.WarmStartFromParent(lopsided, zero_mass));
-  // A usable restriction registers.
-  std::vector<NodeId> good = {8, 9};
-  EXPECT_TRUE(engine.WarmStartFromParent(lopsided, good));
 }
 
 // A default engine runs the solve RunOca, the hierarchy builders and
