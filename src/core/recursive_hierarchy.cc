@@ -44,9 +44,8 @@ Status ValidateOptions(const RecursiveHierarchyOptions& options) {
 struct ExpandOutcome {
   Status status = Status::OK();
   std::string stop_reason;
-  double subgraph_c = 0.0;
-  double subgraph_lambda_min = 0.0;
-  size_t spectral_iterations = 0;
+  /// The subgraph run's stats, its coupling solve included; all zero
+  /// when a leaf gate stopped the expansion before the run.
   OcaRunStats split_stats;
   /// Surviving children in canonical (cover) order, original ids. The
   /// index into this vector is the child's stable identity: together
@@ -118,9 +117,6 @@ ExpandOutcome ExpandNode(const Graph& graph,
     return out;
   }
   OcaResult run = std::move(run_result).value();
-  out.subgraph_c = run.stats.coupling_constant;
-  out.subgraph_lambda_min = run.stats.lambda_min;
-  out.spectral_iterations = run.stats.spectral_iterations;
   out.split_stats = run.stats;
 
   if (run.cover.empty()) {
@@ -161,9 +157,9 @@ ExpandOutcome ExpandNode(const Graph& graph,
 /// are linked separately by whichever scheduler ran the expansion).
 void ApplyOutcome(const ExpandOutcome& out, RecursiveCommunity* node) {
   node->stop_reason = out.stop_reason;
-  node->subgraph_c = out.subgraph_c;
-  node->subgraph_lambda_min = out.subgraph_lambda_min;
-  node->spectral_iterations = out.spectral_iterations;
+  node->subgraph_c = out.split_stats.coupling_constant;
+  node->subgraph_lambda_min = out.split_stats.lambda_min;
+  node->spectral_iterations = out.split_stats.spectral_iterations;
   node->split_stats = out.split_stats;
 }
 

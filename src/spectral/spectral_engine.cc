@@ -24,12 +24,6 @@ constexpr size_t kMaxCacheEntries = 64;
 /// when num_threads > 1 and the graph has several row blocks.
 constexpr size_t kParallelMinEdges = size_t{1} << 16;
 
-double Norm2(const std::vector<double>& x) {
-  double s = 0.0;
-  for (double v : x) s += v * v;
-  return std::sqrt(s);
-}
-
 }  // namespace
 
 /// What a sweep found at the minimum end: the raw Ritz value, its
@@ -88,15 +82,18 @@ void SpectralEngine::EnsureWorkspace(size_t n) {
   }
 }
 
-void SpectralEngine::PrepareStartVector(const Graph& graph) {
+void SpectralEngine::PrepareStartVector(size_t n) {
   // A random unit vector from the configured seed alone: with probability
   // 1 it is not orthogonal to the wanted eigenvector, and no engine
   // history can leak into the solve.
-  start_.resize(graph.num_nodes());
   Rng rng(options_.seed);
-  for (double& x : start_) x = rng.NextGaussian();
-  double norm = Norm2(start_);
-  for (double& x : start_) x /= norm;
+  double norm_sq = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    v_[i] = rng.NextGaussian();
+    norm_sq += v_[i] * v_[i];
+  }
+  const double norm = std::sqrt(norm_sq);
+  for (size_t i = 0; i < n; ++i) v_[i] /= norm;
 }
 
 void SpectralEngine::MatVec(const Graph& graph, const double* x, double* y) {
@@ -176,8 +173,7 @@ double SpectralEngine::BisectExtreme(size_t k, double lo, double hi,
   return 0.5 * (lo + hi);
 }
 
-SpectralEngine::SweepOutcome SpectralEngine::LanczosSweep(
-    const Graph& graph) {
+SpectralEngine::SweepOutcome SpectralEngine::LanczosSweep(const Graph& graph) {
   const size_t n = graph.num_nodes();
   EnsureWorkspace(n);
 
@@ -195,7 +191,7 @@ SpectralEngine::SweepOutcome SpectralEngine::LanczosSweep(
   const double tol = options_.coupling_tolerance;
   const size_t cap = std::max<size_t>(options_.max_steps, 1);
 
-  std::copy(start_.begin(), start_.end(), v_.begin());
+  PrepareStartVector(n);
   std::fill(vprev_.begin(), vprev_.begin() + n, 0.0);
   alpha_.clear();
   beta_.clear();
@@ -369,7 +365,6 @@ Result<CouplingResult> SpectralEngine::CouplingConstant(const Graph& graph) {
     return hit;
   }
 
-  PrepareStartVector(graph);
   SweepOutcome sweep = LanczosSweep(graph);
 
   double lambda_min = sweep.value;

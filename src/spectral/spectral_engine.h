@@ -189,7 +189,8 @@ class SpectralEngine {
 
   Status ValidateGraph(const Graph& graph) const;
   void EnsureWorkspace(size_t n);
-  void PrepareStartVector(const Graph& graph);
+  /// Fills v_[0, n) with the sweep's start vector.
+  void PrepareStartVector(size_t n);
   size_t ResolvedThreads() const;
   bool UseParallel(const Graph& graph) const;
 
@@ -213,7 +214,6 @@ class SpectralEngine {
   std::vector<double> v_;        // current Lanczos vector
   std::vector<double> vprev_;    // previous Lanczos vector
   std::vector<double> w_;        // mat-vec output / next vector
-  std::vector<double> start_;    // start vector of the current sweep
   std::vector<double> partial_;  // per-block reduction partials
   std::vector<double> alpha_;    // T diagonal
   std::vector<double> beta_;     // T off-diagonal
