@@ -170,8 +170,8 @@ int main() {
     char name[64];
     std::snprintf(name, sizeof(name), "%zux%zux%zu", config.supers,
                   config.subs, config.sub_size);
-    std::printf("%-16s %6zu | %10.3f %10.3f | %10.3f %10.3f | %8zu\n", name,
-                n, flat_onmi, flat_omega, rec_onmi, rec_omega,
+    std::printf("%-16s %6zu | %10.3f %10.3f | %10.3f %10.3f | %8zu\n", name, n,
+                flat_onmi, flat_omega, rec_onmi, rec_omega,
                 serial.chain.total_iterations);
     std::printf("%-16s %6s | tree: %zu roots, %zu nodes, depth %zu, "
                 "%zu subgraph solves\n", "", "", serial.roots.size(),
