@@ -40,8 +40,7 @@ class ThreadPool {
   /// call sites are unaffected. Priorities only order the *pending*
   /// queue — they never preempt a running task. The recursive hierarchy
   /// submits with priority = node depth so workers drive one subtree to
-  /// its leaves (releasing its interior eigenvectors) before fanning
-  /// across siblings.
+  /// its leaves before fanning across siblings.
   void Submit(int priority, std::function<void()> task);
 
   /// Blocks until all submitted tasks have completed.
