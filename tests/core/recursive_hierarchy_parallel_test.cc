@@ -136,6 +136,19 @@ TEST(RecursiveHierarchyParallelTest, SchedulingStatsAreReported) {
   EXPECT_LE(pooled.scheduling.max_concurrent, 4u);
 }
 
+// No solve inherits a start vector from its parent's, so a pooled build
+// whose workers each solve on their own engine reproduces the serial
+// chain solve for solve, and neither path reports a warm start.
+TEST(RecursiveHierarchyParallelTest, ColdChainIsIdenticalAcrossThreadsToo) {
+  auto bench = MixedScaleGraph(7);
+  auto serial = BuildRecursiveHierarchy(bench.graph, Options(7, 0)).value();
+  auto pooled = BuildRecursiveHierarchy(bench.graph, Options(7, 4)).value();
+  ASSERT_GT(serial.chain.subgraph_solves, 0u);
+  EXPECT_EQ(serial.scheduling.warm_start_hit_rate, 0.0);
+  EXPECT_EQ(pooled.scheduling.warm_start_hit_rate, 0.0);
+  ExpectTreesIdentical(serial, pooled, 4);
+}
+
 /// A deliberately skewed workload: one deep mixed-scale component whose
 /// subtree keeps splitting, plus shallow clique appendages that finish
 /// immediately. The depth-prioritized queue drains the deep subtree
