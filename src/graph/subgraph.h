@@ -22,7 +22,8 @@ struct Subgraph {
 /// Extracts the subgraph induced by `nodes` (need not be sorted or unique;
 /// duplicates are ignored), writing its CSR rows straight from the
 /// parent's: weights carry over bit for bit. O(s log s + sum of degrees
-/// of selected nodes x log s) for s selected nodes.
+/// of selected nodes) for s selected nodes, through a per-thread id map
+/// that grows to the largest graph the thread has extracted from.
 Result<Subgraph> InducedSubgraph(const Graph& graph,
                                  const std::vector<NodeId>& nodes);
 

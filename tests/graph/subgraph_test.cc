@@ -4,6 +4,7 @@
 
 #include <cstring>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "gen/nested_partition.h"
@@ -143,6 +144,44 @@ TEST(InducedSubgraphDifferentialTest, WholeGraphAndEmptySetMatchReference) {
     EXPECT_TRUE(SameBits(whole.graph.neighbor_array(), g.neighbor_array()));
     EXPECT_TRUE(SameBits(whole.graph.weight_array(), g.weight_array()));
   }
+}
+
+// InducedSubgraph keeps its id map per thread and reuses it across
+// calls. One fresh thread alternates a 120-node and a 960-node graph
+// with overlapping member sets: a map that is not grown to the larger
+// graph, or not cleared after a call, answers wrongly here.
+TEST(InducedSubgraphDifferentialTest, AlternatingGraphsOnOneThreadMatchReference) {
+  NestedPartitionOptions gen;
+  gen.num_supers = 2;
+  gen.subs_per_super = 3;
+  gen.nodes_per_sub = 20;
+  gen.p_sub = 0.85;
+  gen.p_super = 0.15;
+  gen.p_out = 0.03;
+  gen.seed = 9;
+  const Graph small = GenerateNestedPartition(gen).value().graph;
+  const std::vector<Graph> large = NestedGraphs();
+  std::thread worker([&] {
+    Rng rng(23);
+    for (int round = 0; round < 6; ++round) {
+      SCOPED_TRACE(round);
+      const Graph& big = large[round % 2];
+      // Half the small graph, then a larger draw that overlaps it and
+      // reaches past its last id.
+      std::vector<NodeId> few(60);
+      for (NodeId& v : few) {
+        v = static_cast<NodeId>(rng.NextBounded(small.num_nodes()));
+      }
+      std::vector<NodeId> many(400);
+      for (NodeId& v : many) {
+        v = static_cast<NodeId>(rng.NextBounded(big.num_nodes()));
+      }
+      many.insert(many.end(), few.begin(), few.begin() + 30);
+      ExpectMatchesReference(small, few);
+      ExpectMatchesReference(big, many);
+    }
+  });
+  worker.join();
 }
 
 }  // namespace
