@@ -368,15 +368,14 @@ BENCHMARK(BM_LocalSearchWeighted)
     ->Arg(2)
     ->Unit(benchmark::kMillisecond);
 
-// Subgraph runs of a recursive tree: serial RunOca on the induced
-// subgraph of NestedBenchGraph()'s first super community (nodes 0-159),
-// with the tree's halting options and a supplied c, as the tree hands
-// each subgraph run the c it solved. One iteration is 8 runs, seeds 1-8:
+// Subgraph runs of a recursive tree: RunOca on the induced subgraph of
+// NestedBenchGraph()'s first super community (nodes 0-159), with the
+// tree's halting options and a supplied c, as the tree hands each
+// subgraph run the c it solved. One iteration is 8 runs, seeds 1-8:
 // such runs halt 5-24 seeds (10 on average) into their first 64-seed
-// batch, so the row prices the seeds a run climbs past its halt (none,
-// when a slot is climbed only once the loop reads it). Counters: climbs
-// and seeds over the 8 runs.
-void BM_RunOcaEarlyHalt(benchmark::State& state) {
+// batch, so the rows price the seeds a run climbs past its halt.
+// Counters: climbs and seeds over the 8 runs.
+void RunEarlyHaltRuns(benchmark::State& state, size_t num_threads) {
   static const oca::Graph* super = [] {
     std::vector<oca::NodeId> nodes(160);
     for (oca::NodeId v = 0; v < nodes.size(); ++v) nodes[v] = v;
@@ -389,6 +388,7 @@ void BM_RunOcaEarlyHalt(benchmark::State& state) {
   opt.halting.max_seeds = super->num_nodes() * 3;
   opt.halting.target_coverage = 0.98;
   opt.halting.stagnation_window = 150;
+  opt.num_threads = num_threads;
   size_t climbs = 0;
   size_t seeds = 0;
   for (auto _ : state) {
@@ -406,7 +406,24 @@ void BM_RunOcaEarlyHalt(benchmark::State& state) {
   state.SetLabel("n=" + std::to_string(super->num_nodes()) +
                  " m=" + std::to_string(super->num_edges()));
 }
+
+// Serial: a slot is climbed only once the seed loop reads it, so
+// climbs == seeds.
+void BM_RunOcaEarlyHalt(benchmark::State& state) {
+  RunEarlyHaltRuns(state, 1);
+}
 BENCHMARK(BM_RunOcaEarlyHalt)->Unit(benchmark::kMillisecond);
+
+// The same runs at num_threads = 2: the pool keeps at most 2 slots per
+// worker in flight, so each run climbs at most 4 seeds past its halt
+// (climbs <= seeds + 8 x 4). Wall time, since the climbs run on the
+// pool's workers.
+void BM_RunOcaEarlyHaltPooled(benchmark::State& state) {
+  RunEarlyHaltRuns(state, 2);
+}
+BENCHMARK(BM_RunOcaEarlyHaltPooled)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_BronKerbosch(benchmark::State& state) {
   oca::Rng rng(11);

@@ -109,79 +109,76 @@ Result<OcaResult> RunOca(const Graph& graph, const OcaOptions& options) {
   // Batch size is independent of the thread count so that serial and
   // parallel runs draw identical seed sequences and produce identical
   // covers: each batch's seeds are drawn sequentially up-front, then
-  // expanded and aggregated in slot order. A pooled run climbs the whole
-  // batch ahead to keep its workers busy; a serial run climbs a slot
-  // only when the aggregation reaches it, so the slots after a halt are
-  // never climbed. Either way every aggregated slot holds the same
-  // climb, because a climb depends only on (graph, seed set, options).
+  // expanded and aggregated in slot order. The expander climbs a serial
+  // run's slot only when the aggregation reaches it, and keeps a pooled
+  // run at most 2 slots per worker ahead of it, so a halt leaves few
+  // slots climbed past it. Either way every aggregated slot holds the
+  // same climb, because a climb depends only on (graph, seed set,
+  // options).
   const size_t batch = std::max<size_t>(options.batch_size, 1);
 
   std::unordered_set<uint64_t> seen_hashes;
   Cover raw_cover;
-  while (!halting.ShouldStop()) {
-    // Draw a batch of seed sets (sequentially, for determinism). Every
-    // drawn seed node is immediately spent so repeat draws cannot stall
-    // progress.
-    std::vector<Community> seed_sets;
-    seed_sets.reserve(batch);
-    size_t remaining_budget =
-        options.halting.max_seeds == 0
-            ? batch
-            : std::min(batch,
-                       options.halting.max_seeds - halting.seeds_run());
-    for (size_t i = 0; i < remaining_budget; ++i) {
-      // Once every node is covered or already spent, further draws can
-      // only repeat exhausted nodes. A repeat draw would build a fresh
-      // random neighborhood, but the spent-seed policy deliberately
-      // treats a node's first expansion as its one shot (see
-      // MarkSeedSpent): re-draws overwhelmingly rediscover known
-      // structure, and before this check they just burned seeds until
-      // the stagnation window fired. Stop drawing; the batch in hand is
-      // still expanded below.
-      if (seeder.Exhausted()) break;
-      NodeId seed_node = seeder.NextSeedNode();
-      seeder.MarkSeedSpent(seed_node);
-      seed_sets.push_back(seeder.BuildSeedSet(seed_node));
-    }
-    if (seed_sets.empty()) {
-      // Nothing left to draw at the top of a batch: halt now with an
-      // honest reason instead of burning duplicate seeds until the
-      // stagnation window fires.
-      if (seeder.Exhausted()) halting.NoteSeedsExhausted();
-      break;
-    }
-
-    std::vector<LocalSearchResult> expansions;
-    if (pool != nullptr) {
-      expansions = ExpandSeedBatch(graph, seed_sets, search, pool.get());
-      result.stats.climbs += expansions.size();
-    }
-
-    for (size_t i = 0; i < seed_sets.size(); ++i) {
-      LocalSearchResult expansion;
-      if (pool != nullptr) {
-        expansion = std::move(expansions[i]);
-      } else {
-        expansion = ExpandSeed(graph, seed_sets[i], search);
-        ++result.stats.climbs;
+  {
+    // Scoped so that the climbs still in flight at a halt finish before
+    // the search time is read.
+    SeedExpander expander(graph, search, pool.get());
+    while (!halting.ShouldStop()) {
+      // Draw a batch of seed sets (sequentially, for determinism). Every
+      // drawn seed node is immediately spent so repeat draws cannot stall
+      // progress.
+      std::vector<Community> seed_sets;
+      seed_sets.reserve(batch);
+      size_t remaining_budget =
+          options.halting.max_seeds == 0
+              ? batch
+              : std::min(batch,
+                         options.halting.max_seeds - halting.seeds_run());
+      for (size_t i = 0; i < remaining_budget; ++i) {
+        // Once every node is covered or already spent, further draws can
+        // only repeat exhausted nodes. A repeat draw would build a fresh
+        // random neighborhood, but the spent-seed policy deliberately
+        // treats a node's first expansion as its one shot (see
+        // MarkSeedSpent): re-draws overwhelmingly rediscover known
+        // structure, and before this check they just burned seeds until
+        // the stagnation window fired. Stop drawing; the batch in hand is
+        // still expanded below.
+        if (seeder.Exhausted()) break;
+        NodeId seed_node = seeder.NextSeedNode();
+        seeder.MarkSeedSpent(seed_node);
+        seed_sets.push_back(seeder.BuildSeedSet(seed_node));
       }
-      // A seed is "novel" for the stagnation criterion only when its
-      // community covers at least one new node: distinct-hash near
-      // duplicates of known communities (which the merge postprocessing
-      // collapses anyway) must not keep the loop alive forever.
-      bool novel = false;
-      if (expansion.community.size() >= options.min_community_size) {
-        uint64_t h = HashCommunity(expansion.community);
-        if (seen_hashes.insert(h).second) {
-          novel = seeder.MarkCovered(expansion.community) > 0;
-          raw_cover.Add(std::move(expansion.community));
+      if (seed_sets.empty()) {
+        // Nothing left to draw at the top of a batch: halt now with an
+        // honest reason instead of burning duplicate seeds until the
+        // stagnation window fires.
+        if (seeder.Exhausted()) halting.NoteSeedsExhausted();
+        break;
+      }
+
+      expander.Reset(std::move(seed_sets));
+      for (size_t i = 0; i < expander.size(); ++i) {
+        LocalSearchResult expansion = expander.Take(i);
+        // A seed is "novel" for the stagnation criterion only when its
+        // community covers at least one new node: distinct-hash near
+        // duplicates of known communities (which the merge
+        // postprocessing collapses anyway) must not keep the loop alive
+        // forever.
+        bool novel = false;
+        if (expansion.community.size() >= options.min_community_size) {
+          uint64_t h = HashCommunity(expansion.community);
+          if (seen_hashes.insert(h).second) {
+            novel = seeder.MarkCovered(expansion.community) > 0;
+            raw_cover.Add(std::move(expansion.community));
+          }
+        } else if (!expansion.community.empty()) {
+          ++result.stats.discarded_small;
         }
-      } else if (!expansion.community.empty()) {
-        ++result.stats.discarded_small;
+        halting.RecordSeed(novel, seeder.CoverageFraction());
+        if (halting.ShouldStop()) break;
       }
-      halting.RecordSeed(novel, seeder.CoverageFraction());
-      if (halting.ShouldStop()) break;
     }
+    result.stats.climbs = expander.climbs();
   }
   result.stats.seeds_expanded = halting.seeds_run();
   result.stats.halting_reason = halting.Reason();

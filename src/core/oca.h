@@ -38,10 +38,11 @@ struct OcaRunStats {
                                     // (0: supplied or engine cache hit)
   size_t seeds_expanded = 0;
   /// GreedyLocalSearch calls the run made. A serial run climbs exactly
-  /// the seeds it records (== seeds_expanded); a pooled run climbs whole
-  /// batches ahead, so it can climb up to batch_size - 1 seeds past the
-  /// halt. Depends on the thread count, so Digest() and .ocac leave it
-  /// out.
+  /// the seeds it records (== seeds_expanded); a pooled run keeps up to
+  /// 2 x num_threads seeds climbing ahead of its seed loop, so it climbs
+  /// at most that many past the halt (seeds_expanded <= climbs <=
+  /// seeds_expanded + 2 x num_threads). Depends on the thread count, so
+  /// Digest() and .ocac leave it out.
   size_t climbs = 0;
   size_t raw_communities = 0;       // distinct local maxima before merging
   size_t discarded_small = 0;       // below min_community_size

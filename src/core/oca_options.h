@@ -54,13 +54,18 @@ struct OcaOptions {
   MergeOptions merge;
   bool assign_orphans = false;
 
-  /// Worker threads for seed expansion (1 = serial; 0 = hardware).
+  /// Worker threads for seed expansion (1 = serial; 0 = hardware). A
+  /// pooled run keeps at most 2 seeds per thread climbing ahead of its
+  /// seed loop, and an engine this run builds itself gets the same
+  /// count for its mat-vec.
   size_t num_threads = 1;
   /// Seeds drawn per batch, in every mode and independent of the thread
   /// count, so every run draws the same seeds. A serial run climbs a
   /// drawn seed only when its seed loop reaches it; a pooled run climbs
-  /// the whole batch ahead to feed its workers, up to batch_size - 1
-  /// climbs past the halt (OcaRunStats::climbs).
+  /// a seed once its loop is within 2 x num_threads seeds of it, so it
+  /// climbs at most that many past the halt (OcaRunStats::climbs). The
+  /// look-ahead never crosses a batch: the next batch's seeds depend on
+  /// what this one covered.
   size_t batch_size = 64;
 };
 

@@ -1,5 +1,7 @@
 #include "core/parallel_driver.h"
 
+#include <algorithm>
+
 namespace oca {
 
 LocalSearchResult ExpandSeed(const Graph& graph, const Community& seed_set,
@@ -22,6 +24,59 @@ std::vector<LocalSearchResult> ExpandSeedBatch(
     for (size_t i = 0; i < seed_sets.size(); ++i) run_one(i);
   }
   return results;
+}
+
+SeedExpander::SeedExpander(const Graph& graph,
+                           const LocalSearchOptions& options, ThreadPool* pool)
+    : graph_(graph),
+      options_(options),
+      pool_(pool),
+      look_ahead_(pool == nullptr ? 0
+                                  : kLookAheadPerThread * pool->num_threads()) {
+}
+
+SeedExpander::~SeedExpander() { WaitForInFlight(); }
+
+void SeedExpander::Reset(std::vector<Community> seed_sets) {
+  WaitForInFlight();
+  seed_sets_ = std::move(seed_sets);
+  submitted_ = 0;
+  if (pool_ == nullptr) return;
+  std::lock_guard<std::mutex> lock(mu_);
+  results_.assign(seed_sets_.size(), {});
+  done_.assign(seed_sets_.size(), 0);
+  finished_ = 0;
+}
+
+LocalSearchResult SeedExpander::Take(size_t slot) {
+  if (pool_ == nullptr) {
+    ++climbs_;
+    return ExpandSeed(graph_, seed_sets_[slot], options_);
+  }
+  const size_t end = std::min(seed_sets_.size(), slot + look_ahead_);
+  while (submitted_ < end) Submit(submitted_);
+  std::unique_lock<std::mutex> lock(mu_);
+  slot_done_.wait(lock, [&] { return done_[slot] != 0; });
+  return std::move(results_[slot]);
+}
+
+void SeedExpander::Submit(size_t slot) {
+  pool_->Submit([this, slot] {
+    LocalSearchResult result = ExpandSeed(graph_, seed_sets_[slot], options_);
+    std::lock_guard<std::mutex> lock(mu_);
+    results_[slot] = std::move(result);
+    done_[slot] = 1;
+    ++finished_;
+    slot_done_.notify_all();
+  });
+  ++submitted_;
+  ++climbs_;
+}
+
+void SeedExpander::WaitForInFlight() {
+  if (pool_ == nullptr) return;
+  std::unique_lock<std::mutex> lock(mu_);
+  slot_done_.wait(lock, [this] { return finished_ == submitted_; });
 }
 
 }  // namespace oca

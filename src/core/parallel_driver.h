@@ -1,15 +1,20 @@
-// Seed expansion, one slot at a time or a whole batch at once.
-// Deterministic given the same seed sets and options: each slot's climb
-// is a pure function of (graph, seed set, options), and batch results
-// are collected by slot index, so thread scheduling cannot change the
-// outcome. RunOca calls ExpandSeed slot by slot when it runs serially,
-// so a halt leaves the rest of the batch unclimbed; with a pool it calls
-// ExpandSeedBatch, whose look-ahead over the whole batch feeds the
-// workers.
+// Seed expansion: one climb per seed slot. Deterministic given the same
+// seed sets and options: each slot's climb is a pure function of
+// (graph, seed set, options), and results are read by slot index, so
+// thread scheduling cannot change the outcome.
+//
+// SeedExpander is RunOca's one slot path. Serial, it climbs a slot when
+// the seed loop takes it, so a halt leaves the rest of the batch
+// unclimbed. Pooled, it keeps a bounded look-ahead of slots on the pool,
+// kLookAheadPerThread per pool thread, so a halt leaves at most that
+// many climbs past it. ExpandSeedBatch climbs a whole batch at once; no
+// library code calls it any more, only bench/e2e's seed-loop replay.
 
 #ifndef OCA_CORE_PARALLEL_DRIVER_H_
 #define OCA_CORE_PARALLEL_DRIVER_H_
 
+#include <condition_variable>
+#include <mutex>
 #include <vector>
 
 #include "core/local_search.h"
@@ -28,6 +33,67 @@ LocalSearchResult ExpandSeed(const Graph& graph, const Community& seed_set,
 std::vector<LocalSearchResult> ExpandSeedBatch(
     const Graph& graph, const std::vector<Community>& seed_sets,
     const LocalSearchOptions& options, ThreadPool* pool);
+
+/// The climbs of one seed batch at a time, taken in slot order. Without
+/// a pool, Take(i) climbs slot i inline. With one, slot j goes to the
+/// pool only once the reader is within LookAhead() slots of it (j < i +
+/// LookAhead() when slot i is taken), and Take(i) waits for slot i's
+/// result. The expander owns the batch's seed sets and a copy of the
+/// options, and Reset() and the destructor wait for every climb in
+/// flight, so no climb outlives what it reads, whichever way the reader
+/// leaves its loop. Not thread-safe: one reader thread.
+class SeedExpander {
+ public:
+  /// Slots kept in flight per pool thread: enough that a worker finds
+  /// its next climb queued while the reader digests the last one.
+  static constexpr size_t kLookAheadPerThread = 2;
+
+  /// `pool` may be null (serial); it must outlive the expander.
+  SeedExpander(const Graph& graph, const LocalSearchOptions& options,
+               ThreadPool* pool);
+  ~SeedExpander();
+
+  SeedExpander(const SeedExpander&) = delete;
+  SeedExpander& operator=(const SeedExpander&) = delete;
+
+  /// Starts a new batch once the previous batch's climbs have finished.
+  void Reset(std::vector<Community> seed_sets);
+
+  /// Slots in the current batch.
+  size_t size() const { return seed_sets_.size(); }
+
+  /// The climb of slot `slot` of the current batch. Each slot is taken
+  /// at most once, in ascending order.
+  LocalSearchResult Take(size_t slot);
+
+  /// Climbs started over every batch so far, those still in flight
+  /// included: Take()n slots plus at most LookAhead() - 1 more.
+  size_t climbs() const { return climbs_; }
+
+  /// Slots a pooled expander keeps in flight, the one taken included
+  /// (0 when serial).
+  size_t LookAhead() const { return look_ahead_; }
+
+ private:
+  void Submit(size_t slot);
+  void WaitForInFlight();
+
+  const Graph& graph_;
+  const LocalSearchOptions options_;
+  ThreadPool* const pool_;
+  const size_t look_ahead_;
+  std::vector<Community> seed_sets_;
+  size_t submitted_ = 0;  // slots [0, submitted_) went to the pool
+  size_t climbs_ = 0;
+
+  std::mutex mu_;
+  std::condition_variable slot_done_;
+  // Guarded by mu_: one result and done flag per slot of the batch, and
+  // how many of its submitted slots have finished.
+  std::vector<LocalSearchResult> results_;
+  std::vector<char> done_;
+  size_t finished_ = 0;
+};
 
 }  // namespace oca
 
