@@ -11,7 +11,10 @@
 //      reference against an N-worker build, and pin that both produce
 //      the SAME tree (Digest()). N comes from OCA_THREADS (unset/0 =
 //      hardware concurrency). On a 1-core box expect speedup ~<= 1 —
-//      the CI thread-matrix job is the multi-core testbed.
+//      the CI thread-matrix job is the multi-core testbed. The pooled
+//      build's time is split into its root phase (the root solve and
+//      the root run, both on N threads) and the expansion below it, and
+//      the root run's climbs are set against the seeds it recorded.
 //
 // Set OCA_BENCH_JSON=path to also write the per-config metrics as JSON
 // (uploaded as a CI artifact so baselines compare without a local
@@ -45,6 +48,10 @@ struct Row {
   double rec_onmi = 0.0, rec_omega = 0.0;
   size_t spectral_iters = 0;
   double serial_seconds = 0.0, parallel_seconds = 0.0;
+  // The pooled build's split: root solve, root run, and the rest.
+  double root_solve_seconds = 0.0, root_run_seconds = 0.0;
+  double expansion_seconds = 0.0;
+  size_t root_climbs = 0, root_seeds = 0;
   size_t threads = 0;
   bool digest_match = false;
   unsigned long long digest = 0;
@@ -71,11 +78,15 @@ void WriteJson(const char* path, const std::vector<Row>& rows) {
         "\"flat_omega\": %.4f, \"rec_onmi\": %.4f, \"rec_omega\": %.4f, "
         "\"spectral_iters\": %zu, "
         "\"serial_seconds\": %.4f, \"parallel_seconds\": %.4f, "
+        "\"root_solve_seconds\": %.4f, \"root_run_seconds\": %.4f, "
+        "\"expansion_seconds\": %.4f, \"root_climbs\": %zu, "
+        "\"root_seeds\": %zu, "
         "\"threads\": %zu, \"speedup\": %.3f, \"digest_match\": %s, "
         "\"digest\": \"%016llx\"}%s\n",
         r.name.c_str(), r.nodes, r.flat_onmi, r.flat_omega, r.rec_onmi,
         r.rec_omega, r.spectral_iters, r.serial_seconds,
-        r.parallel_seconds, r.threads,
+        r.parallel_seconds, r.root_solve_seconds, r.root_run_seconds,
+        r.expansion_seconds, r.root_climbs, r.root_seeds, r.threads,
         r.parallel_seconds > 0.0 ? r.serial_seconds / r.parallel_seconds
                                  : 0.0,
         r.digest_match ? "true" : "false", r.digest,
@@ -185,6 +196,14 @@ int main() {
                 parallel_s > 0.0 ? serial_s / parallel_s : 0.0,
                 parallel.scheduling.max_concurrent,
                 digest_match ? "match" : "MISMATCH!");
+    const oca::OcaRunStats& root = parallel.root_stats;
+    const double root_solve_s = root.seconds_spectral;
+    const double root_run_s = root.seconds_search + root.seconds_postprocess;
+    const double expansion_s = parallel_s - root_solve_s - root_run_s;
+    std::printf("%-16s %6s | pooled split: root solve %.3fs, root run "
+                "%.3fs (%zu climbs for %zu seeds), expansion %.3fs\n",
+                "", "", root_solve_s, root_run_s, root.climbs,
+                root.seeds_expanded, expansion_s);
 
     Row row;
     row.name = name;
@@ -196,6 +215,11 @@ int main() {
     row.spectral_iters = serial.chain.total_iterations;
     row.serial_seconds = serial_s;
     row.parallel_seconds = parallel_s;
+    row.root_solve_seconds = root_solve_s;
+    row.root_run_seconds = root_run_s;
+    row.expansion_seconds = expansion_s;
+    row.root_climbs = root.climbs;
+    row.root_seeds = root.seeds_expanded;
     row.threads = threads;
     row.digest_match = digest_match;
     row.digest = static_cast<unsigned long long>(serial.Digest());

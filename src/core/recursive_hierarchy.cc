@@ -379,13 +379,28 @@ Result<RecursiveHierarchy> BuildRecursiveHierarchy(
       ValueSolveOptionsFrom(options.base.power_method);
   engine_options.seed ^= options.base.seed;
   engine_options.num_threads = options.base.num_threads;
-  SpectralEngine engine(engine_options);
 
-  RecursiveHierarchy tree;
   OcaOptions run_options = options.base;
   run_options.coupling_constant = 0.0;
+  // A pooled build's workers would idle through the root phase, which
+  // precedes every expansion: give the root solve's mat-vec and the root
+  // run's climbs as many threads as the tree has workers. Neither moves
+  // a result (fixed-block reductions; climbs read in slot order).
+  OcaOptions root_options = run_options;
+  if (options.num_threads > 0) {
+    const size_t base_threads = options.base.num_threads == 0
+                                    ? DefaultThreadCount()
+                                    : options.base.num_threads;
+    root_options.num_threads = std::max(base_threads, options.num_threads);
+  }
+  SpectralEngineOptions root_engine_options = engine_options;
+  root_engine_options.num_threads = root_options.num_threads;
+  SpectralEngine engine(root_engine_options);
   run_options.engine = &engine;
-  OCA_ASSIGN_OR_RETURN(OcaResult root_run, RunOca(graph, run_options));
+  root_options.engine = &engine;
+
+  RecursiveHierarchy tree;
+  OCA_ASSIGN_OR_RETURN(OcaResult root_run, RunOca(graph, root_options));
   tree.root_stats = root_run.stats;
 
   Status built =

@@ -23,7 +23,9 @@
 // depends only on that child's community and depth. With
 // `num_threads >= 1` the build therefore runs expansions as a work queue
 // on util/thread_pool, one stateful SpectralEngine per worker
-// (SpectralEngineSet). The queue is depth-prioritized: among pending
+// (SpectralEngineSet). The root phase before them, the root solve and
+// the top-level run, is one graph's work; it gets the workers' thread
+// count for its mat-vec and its climbs instead. The queue is depth-prioritized: among pending
 // expansions workers always pick the deepest, so a deep subtree is not
 // left to run on alone after its shallow siblings finish. Determinism
 // is structural, not scheduled: every expansion is a pure function of
@@ -81,13 +83,16 @@ struct RecursiveHierarchyOptions {
   /// NOTE: unlike OcaOptions::num_threads, 0 does NOT mean "hardware
   /// concurrency" here — the serial path is deliberately preserved as
   /// the reference the parallel path is pinned against. Output is
-  /// byte-identical for every value (see Digest()). Worker engines run
-  /// their mat-vec serially (sibling-level parallelism replaces it; the
-  /// fixed-block reduction makes results identical either way), while
-  /// base.num_threads still applies inside each subgraph's OCA run:
-  /// base.num_threads > 1 gives every subgraph run its own pool, which
-  /// climbs whole seed batches ahead, although a subgraph run typically
-  /// halts a few seeds into its first batch (OcaRunStats::climbs).
+  /// byte-identical for every value (see Digest()). With N >= 1 the root
+  /// phase, which runs before any worker has work, gets max(N, resolved
+  /// base.num_threads) threads: the root solve's mat-vec on the build
+  /// engine's pool and the root run's climbs on RunOca's own. Worker
+  /// engines run their mat-vec serially (sibling-level parallelism
+  /// replaces it; the fixed-block reduction makes results identical
+  /// either way), while base.num_threads still applies inside each
+  /// subgraph's OCA run: base.num_threads > 1 gives every subgraph run
+  /// its own pool, which keeps up to 2 seeds per thread climbing ahead
+  /// of the run's seed loop (OcaRunStats::climbs).
   size_t num_threads = 0;
 
   /// Test-only fault injection: when set, called right before each
