@@ -4,6 +4,15 @@
 
 namespace oca {
 
+namespace {
+
+/// Slots a pooled SeedExpander keeps in flight per pool thread: enough
+/// that a worker finds its next climb queued while the reader digests
+/// the last one.
+constexpr size_t kLookAheadPerThread = 2;
+
+}  // namespace
+
 LocalSearchResult ExpandSeed(const Graph& graph, const Community& seed_set,
                              const LocalSearchOptions& options) {
   auto r = GreedyLocalSearch(graph, seed_set, options);
@@ -28,23 +37,17 @@ std::vector<LocalSearchResult> ExpandSeedBatch(
 
 SeedExpander::SeedExpander(const Graph& graph,
                            const LocalSearchOptions& options, ThreadPool* pool)
-    : graph_(graph),
-      options_(options),
-      pool_(pool),
-      look_ahead_(pool == nullptr ? 0
-                                  : kLookAheadPerThread * pool->num_threads()) {
-}
+    : graph_(graph), options_(options), pool_(pool) {}
 
 SeedExpander::~SeedExpander() { WaitForInFlight(); }
 
 void SeedExpander::Reset(std::vector<Community> seed_sets) {
   WaitForInFlight();
   seed_sets_ = std::move(seed_sets);
-  submitted_ = 0;
   if (pool_ == nullptr) return;
   std::lock_guard<std::mutex> lock(mu_);
-  results_.assign(seed_sets_.size(), {});
-  done_.assign(seed_sets_.size(), 0);
+  results_.assign(seed_sets_.size(), std::nullopt);
+  submitted_ = 0;
   finished_ = 0;
 }
 
@@ -53,11 +56,12 @@ LocalSearchResult SeedExpander::Take(size_t slot) {
     ++climbs_;
     return ExpandSeed(graph_, seed_sets_[slot], options_);
   }
-  const size_t end = std::min(seed_sets_.size(), slot + look_ahead_);
+  const size_t end = std::min(
+      seed_sets_.size(), slot + kLookAheadPerThread * pool_->num_threads());
   while (submitted_ < end) Submit(submitted_);
   std::unique_lock<std::mutex> lock(mu_);
-  slot_done_.wait(lock, [&] { return done_[slot] != 0; });
-  return std::move(results_[slot]);
+  slot_done_.wait(lock, [&] { return results_[slot].has_value(); });
+  return std::move(*results_[slot]);
 }
 
 void SeedExpander::Submit(size_t slot) {
@@ -65,12 +69,12 @@ void SeedExpander::Submit(size_t slot) {
     LocalSearchResult result = ExpandSeed(graph_, seed_sets_[slot], options_);
     std::lock_guard<std::mutex> lock(mu_);
     results_[slot] = std::move(result);
-    done_[slot] = 1;
     ++finished_;
     slot_done_.notify_all();
   });
-  ++submitted_;
   ++climbs_;
+  std::lock_guard<std::mutex> lock(mu_);
+  ++submitted_;
 }
 
 void SeedExpander::WaitForInFlight() {

@@ -6,8 +6,8 @@
 // SeedExpander is RunOca's one slot path. Serial, it climbs a slot when
 // the seed loop takes it, so a halt leaves the rest of the batch
 // unclimbed. Pooled, it keeps a bounded look-ahead of slots on the pool,
-// kLookAheadPerThread per pool thread, so a halt leaves at most that
-// many climbs past it. ExpandSeedBatch climbs a whole batch at once; no
+// 2 per pool thread, so a halt leaves fewer than that many climbs past
+// it. ExpandSeedBatch climbs a whole batch at once; no
 // library code calls it any more, only bench/e2e's seed-loop replay.
 
 #ifndef OCA_CORE_PARALLEL_DRIVER_H_
@@ -15,6 +15,7 @@
 
 #include <condition_variable>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "core/local_search.h"
@@ -35,19 +36,15 @@ std::vector<LocalSearchResult> ExpandSeedBatch(
     const LocalSearchOptions& options, ThreadPool* pool);
 
 /// The climbs of one seed batch at a time, taken in slot order. Without
-/// a pool, Take(i) climbs slot i inline. With one, slot j goes to the
-/// pool only once the reader is within LookAhead() slots of it (j < i +
-/// LookAhead() when slot i is taken), and Take(i) waits for slot i's
+/// a pool, Take(i) climbs slot i inline. With a pool of T threads, slot
+/// j goes to the pool only once the reader is within 2T slots of it
+/// (j < i + 2T when slot i is taken), and Take(i) waits for slot i's
 /// result. The expander owns the batch's seed sets and a copy of the
 /// options, and Reset() and the destructor wait for every climb in
 /// flight, so no climb outlives what it reads, whichever way the reader
 /// leaves its loop. Not thread-safe: one reader thread.
 class SeedExpander {
  public:
-  /// Slots kept in flight per pool thread: enough that a worker finds
-  /// its next climb queued while the reader digests the last one.
-  static constexpr size_t kLookAheadPerThread = 2;
-
   /// `pool` may be null (serial); it must outlive the expander.
   SeedExpander(const Graph& graph, const LocalSearchOptions& options,
                ThreadPool* pool);
@@ -67,12 +64,8 @@ class SeedExpander {
   LocalSearchResult Take(size_t slot);
 
   /// Climbs started over every batch so far, those still in flight
-  /// included: Take()n slots plus at most LookAhead() - 1 more.
+  /// included: the slots taken plus at most 2T - 1 more.
   size_t climbs() const { return climbs_; }
-
-  /// Slots a pooled expander keeps in flight, the one taken included
-  /// (0 when serial).
-  size_t LookAhead() const { return look_ahead_; }
 
  private:
   void Submit(size_t slot);
@@ -81,17 +74,16 @@ class SeedExpander {
   const Graph& graph_;
   const LocalSearchOptions options_;
   ThreadPool* const pool_;
-  const size_t look_ahead_;
   std::vector<Community> seed_sets_;
-  size_t submitted_ = 0;  // slots [0, submitted_) went to the pool
   size_t climbs_ = 0;
 
   std::mutex mu_;
   std::condition_variable slot_done_;
-  // Guarded by mu_: one result and done flag per slot of the batch, and
-  // how many of its submitted slots have finished.
-  std::vector<LocalSearchResult> results_;
-  std::vector<char> done_;
+  // Guarded by mu_: each slot's climb once it finished, and how many of
+  // the batch's slots went to the pool and how many of those finished.
+  // Only the reader writes submitted_, so it reads it without the lock.
+  std::vector<std::optional<LocalSearchResult>> results_;
+  size_t submitted_ = 0;
   size_t finished_ = 0;
 };
 

@@ -132,8 +132,8 @@ TEST(OcaTest, SerialRunClimbsOnlyTheSeedsItRecords) {
 }
 
 // A pooled run keeps at most 2 slots per worker in flight, so a halt
-// (mid-batch for coverage, stagnation and max_seeds) leaves at most that
-// many climbs past it, where climbing whole batches left up to 63.
+// mid-batch (coverage and stagnation) leaves at most that many climbs
+// past it.
 TEST(OcaTest, PooledRunClimbsAtMostTwoSlotsPerThreadAhead) {
   for (const HaltingCase& hc : HaltingCases()) {
     for (size_t threads : {2, 4}) {

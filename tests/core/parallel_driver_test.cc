@@ -108,7 +108,6 @@ TEST(SeedExpanderTest, TakesMatchExpandSeedSerialAndPooled) {
     std::unique_ptr<ThreadPool> pool;
     if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
     SeedExpander expander(g, options, pool.get());
-    EXPECT_EQ(expander.LookAhead(), 2 * threads);
     size_t slots = 0;
     for (const std::vector<Community>& batch : KarateBatches()) {
       expander.Reset(batch);
@@ -126,8 +125,8 @@ TEST(SeedExpanderTest, TakesMatchExpandSeedSerialAndPooled) {
   }
 }
 
-// A reader that stops partway (a halt) leaves at most LookAhead() - 1
-// slots climbed past the last one it took; the next batch, and the
+// A reader that stops partway (a halt) leaves 2 x threads - 1 slots
+// climbed past the last one it took; the next batch, and the
 // destructor, wait those out before the seed sets they read go away.
 TEST(SeedExpanderTest, StoppingEarlyLeavesOnlyTheLookAheadInFlight) {
   Graph g = testing::KarateClub();
@@ -142,12 +141,11 @@ TEST(SeedExpanderTest, StoppingEarlyLeavesOnlyTheLookAheadInFlight) {
       SeedExpander expander(g, options, &pool);
       expander.Reset(first);
       for (size_t i = 0; i < taken; ++i) expander.Take(i);
-      const size_t look_ahead = expander.LookAhead();
       if (taken == 0) {
         EXPECT_EQ(expander.climbs(), 0u);
       } else {
         EXPECT_EQ(expander.climbs(),
-                  std::min(first.size(), taken + look_ahead - 1));
+                  std::min(first.size(), taken + 2 * threads - 1));
       }
       // A new batch after the early stop reads its own slots.
       std::vector<Community> second = {{5}, {33, 32, 8}};
