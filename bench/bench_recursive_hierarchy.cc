@@ -200,8 +200,8 @@ int main() {
     const double root_solve_s = root.seconds_spectral;
     const double root_run_s = root.seconds_search + root.seconds_postprocess;
     const double expansion_s = parallel_s - root_solve_s - root_run_s;
-    std::printf("%-16s %6s | pooled split: root solve %.3fs, root run "
-                "%.3fs (%zu climbs for %zu seeds), expansion %.3fs\n",
+    std::printf("%-16s %6s | pooled split: root solve %.4fs, root run "
+                "%.4fs (%zu climbs for %zu seeds), expansion %.4fs\n",
                 "", "", root_solve_s, root_run_s, root.climbs,
                 root.seeds_expanded, expansion_s);
 

@@ -25,15 +25,15 @@
 // on util/thread_pool, one stateful SpectralEngine per worker
 // (SpectralEngineSet). The root phase before them, the root solve and
 // the top-level run, is one graph's work; it gets the workers' thread
-// count for its mat-vec and its climbs instead. The queue is depth-prioritized: among pending
-// expansions workers always pick the deepest, so a deep subtree is not
-// left to run on alone after its shallow siblings finish. Determinism
-// is structural, not scheduled: every expansion is a pure function of
-// (community, depth), and children get stable identities from (depth,
-// parent, community index), so the arena is assembled in canonical BFS
-// order regardless of completion order — serial (num_threads == 0) and
-// N-thread builds are byte-identical (pinned by tests and the CI thread
-// matrix).
+// count for its mat-vec and its climbs instead. The queue is
+// depth-prioritized: among pending expansions workers always pick the
+// deepest, so a deep subtree is not left to run on alone after its
+// shallow siblings finish. Determinism is structural, not scheduled:
+// every expansion is a pure function of (community, depth), and
+// children get stable identities from (depth, parent, community index),
+// so the arena is assembled in canonical BFS order regardless of
+// completion order — serial (num_threads == 0) and N-thread builds are
+// byte-identical (pinned by tests and the CI thread matrix).
 
 #ifndef OCA_CORE_RECURSIVE_HIERARCHY_H_
 #define OCA_CORE_RECURSIVE_HIERARCHY_H_

@@ -136,6 +136,34 @@ TEST(RecursiveHierarchyParallelTest, SchedulingStatsAreReported) {
   EXPECT_LE(pooled.scheduling.max_concurrent, 4u);
 }
 
+// A pooled build runs its root phase on the workers' thread count, so
+// with 2 or more workers the root run pools its climbs and climbs a few
+// seeds past its halt (at most 2 per thread). The serial reference and
+// a 1-worker build climb only the seeds they record; every build
+// records the same ones.
+TEST(RecursiveHierarchyParallelTest, RootRunClimbsOnTheWorkersThreads) {
+  auto bench = MixedScaleGraph(7);
+  const OcaRunStats reference =
+      BuildRecursiveHierarchy(bench.graph, Options(7, 0)).value().root_stats;
+  EXPECT_EQ(reference.climbs, reference.seeds_expanded);
+  for (size_t threads : {1, 2, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const OcaRunStats root =
+        BuildRecursiveHierarchy(bench.graph, Options(7, threads))
+            .value()
+            .root_stats;
+    EXPECT_EQ(root.seeds_expanded, reference.seeds_expanded);
+    EXPECT_EQ(root.raw_communities, reference.raw_communities);
+    EXPECT_EQ(root.halting_reason, reference.halting_reason);
+    if (threads == 1) {
+      EXPECT_EQ(root.climbs, root.seeds_expanded);
+    } else {
+      EXPECT_GT(root.climbs, root.seeds_expanded);
+      EXPECT_LE(root.climbs, root.seeds_expanded + 2 * threads);
+    }
+  }
+}
+
 // No solve inherits a start vector from its parent's, so a pooled build
 // whose workers each solve on their own engine reproduces the serial
 // chain solve for solve, and neither path reports a warm start.

@@ -150,7 +150,8 @@ TEST(InducedSubgraphDifferentialTest, WholeGraphAndEmptySetMatchReference) {
 // calls. One fresh thread alternates a 120-node and a 960-node graph
 // with overlapping member sets: a map that is not grown to the larger
 // graph, or not cleared after a call, answers wrongly here.
-TEST(InducedSubgraphDifferentialTest, AlternatingGraphsOnOneThreadMatchReference) {
+TEST(InducedSubgraphDifferentialTest,
+     AlternatingGraphsOnOneThreadMatchReference) {
   NestedPartitionOptions gen;
   gen.num_supers = 2;
   gen.subs_per_super = 3;
