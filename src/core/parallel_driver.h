@@ -7,8 +7,8 @@
 // the seed loop takes it, so a halt leaves the rest of the batch
 // unclimbed. Pooled, it keeps a bounded look-ahead of slots on the pool,
 // 2 per pool thread, so a halt leaves fewer than that many climbs past
-// it. ExpandSeedBatch climbs a whole batch at once; no library code
-// calls it any more, only bench/e2e's seed-loop replay.
+// it. ExpandSeedBatch climbs a whole batch at once; only bench/e2e's
+// seed-loop replay calls it.
 
 #ifndef OCA_CORE_PARALLEL_DRIVER_H_
 #define OCA_CORE_PARALLEL_DRIVER_H_
