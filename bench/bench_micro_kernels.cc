@@ -187,7 +187,7 @@ void BM_CouplingConstant(benchmark::State& state) {
 BENCHMARK(BM_CouplingConstant);
 
 // Same resolution through a persistent engine: after the first call the
-// per-graph cache answers (the hierarchy / repeated-run path).
+// per-graph cache answers (the repeated-run path).
 void BM_CouplingConstantCached(benchmark::State& state) {
   const oca::Graph& g = LfrGraph();
   oca::SpectralEngine engine;

@@ -1,17 +1,12 @@
-// Hierarchy explorer: the paper's future-work direction, runnable in
-// both flavors.
+// Hierarchy explorer: the paper's future-work direction ("we will
+// explore the hierarchies and relations among them"), runnable on a
+// nested planted partition.
 //
-//   1. FLAT c-sweep (BuildHierarchy): sweep the coupling constant over
-//      ONE graph and link levels by containment. An empirical note this
-//      tool surfaces: c is a WEAK resolution knob for the
-//      directed-Laplacian fitness, so on graphs with one dominant scale
-//      every level finds the same communities — full containment across
-//      the admissible range of c is then a stability certificate.
-//   2. RECURSIVE per-community descent (BuildRecursiveHierarchy): run
-//      OCA, extract each community's induced subgraph, re-resolve its
-//      own admissible c = -1/lambda_min and recurse. Nested scales the
-//      flat sweep cannot separate fall out as tree levels; each node
-//      prints what its subgraph solve cost.
+// The recursive per-community descent (BuildRecursiveHierarchy) runs
+// OCA, extracts each community's induced subgraph, re-resolves its own
+// admissible c = -1/lambda_min and recurses, so nested scales that one
+// run over the whole graph mixes fall out as tree levels; each node
+// prints what its subgraph solve cost.
 //
 //   $ ./build/examples/hierarchy_explorer [--seed=7] [--supers=4]
 //         [--subs=3] [--sub_size=20] [--node=0] [--threads=N]
@@ -28,7 +23,6 @@
 #include <string>
 #include <utility>
 
-#include "core/hierarchy.h"
 #include "core/recursive_hierarchy.h"
 #include "gen/nested_partition.h"
 #include "graph/graph_builder.h"
@@ -89,38 +83,6 @@ int main(int argc, char** argv) {
               graph.num_nodes(), graph.num_edges(), gen.num_supers,
               gen.subs_per_super, gen.nodes_per_sub);
 
-  // --- 1. Flat c-sweep. ---
-  oca::HierarchyOptions flat;
-  flat.resolution_fractions = {0.2, 0.5, 1.0};
-  flat.base.seed = seed;
-  flat.base.halting.max_seeds = graph.num_nodes() * 3;
-  flat.base.halting.target_coverage = 0.98;
-  flat.base.halting.stagnation_window = 150;
-
-  auto flat_result = oca::BuildHierarchy(graph, flat);
-  if (!flat_result.ok()) {
-    std::fprintf(stderr, "flat hierarchy failed: %s\n",
-                 flat_result.status().ToString().c_str());
-    return 1;
-  }
-  const auto& h = flat_result.value();
-  std::printf("flat c-sweep (one graph, c as resolution knob):\n");
-  for (size_t j = 0; j < h.levels.size(); ++j) {
-    std::printf("  level %zu (c = %.4f): %zu communities, sizes [%zu, %zu]\n",
-                j, h.levels[j].c, h.levels[j].cover.size(),
-                h.levels[j].cover.MinCommunitySize(),
-                h.levels[j].cover.MaxCommunitySize());
-  }
-  for (size_t j = 0; j < h.links.size(); ++j) {
-    size_t fully = 0;
-    for (const auto& link : h.links[j]) {
-      if (link.containment >= 0.99) ++fully;
-    }
-    std::printf("  links %zu -> %zu: %zu/%zu communities >=99%% contained\n",
-                j, j + 1, fully, h.links[j].size());
-  }
-
-  // --- 2. Recursive per-community descent. ---
   // Optionally on a cache-reordered copy: the spectral mat-vecs run on
   // the relabeled CSR, and the finished tree is mapped back to original
   // ids below, so everything printed stays comparable.
@@ -149,7 +111,10 @@ int main(int argc, char** argv) {
   }
 
   oca::RecursiveHierarchyOptions rec;
-  rec.base = flat.base;
+  rec.base.seed = seed;
+  rec.base.halting.max_seeds = graph.num_nodes() * 3;
+  rec.base.halting.target_coverage = 0.98;
+  rec.base.halting.stagnation_window = 150;
   long threads_flag = flags.GetInt("threads", 0).value_or(0);
   rec.num_threads =
       threads_flag > 0 ? static_cast<size_t>(threads_flag) : 0;
@@ -162,7 +127,7 @@ int main(int argc, char** argv) {
   }
   auto& tree = rec_result.value();
   tree.MapToOriginalIds(work);
-  std::printf("\nrecursive descent (per-community subgraphs, %zu workers, "
+  std::printf("recursive descent (per-community subgraphs, %zu workers, "
               "%s order):\n",
               rec.num_threads, reorder.c_str());
   for (uint32_t root : tree.roots) PrintSubtree(tree, root, 2);

@@ -27,12 +27,9 @@ namespace oca {
 /// Everything OCA reports back besides the cover itself.
 struct OcaRunStats {
   double coupling_constant = 0.0;   // resolved c (post admissible clamp)
-  /// The adjacency lambda_min behind `coupling_constant` whenever one is
-  /// known: RunOca fills it when it resolves c spectrally (including
-  /// engine cache hits), and hierarchy builders backfill it from their
-  /// shared engine's coupling solve even though each level runs with an
-  /// explicit per-level c. It is 0 only when the caller supplied c
-  /// directly to RunOca, where no spectral context exists.
+  /// The adjacency lambda_min behind `coupling_constant`: RunOca fills
+  /// it when it resolves c spectrally (including engine cache hits). It
+  /// is 0 when the caller supplied c, where no spectral context exists.
   double lambda_min = 0.0;
   size_t spectral_iterations = 0;   // Lanczos steps spent resolving c
                                     // (0: supplied or engine cache hit)

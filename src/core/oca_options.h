@@ -22,10 +22,9 @@ struct OcaOptions {
   uint64_t seed = 42;
 
   /// Optional caller-held spectral engine (non-owning; null = RunOca
-  /// builds its own per call). Sharing one engine across repeated runs
-  /// over the same graph — hierarchy levels, parameter sweeps — resolves
-  /// the coupling constant once (per-graph cache) and reuses its
-  /// workspaces across graphs. The engine must outlive the run
+  /// builds its own per call). A caller that makes many runs, as the
+  /// recursive hierarchy does with one engine per worker, reuses its
+  /// workspaces across graphs this way. The engine must outlive the run
   /// and is NOT thread-safe: concurrent RunOca calls need one engine
   /// each (SpectralEngineSet), never a shared one. Results do not depend
   /// on which engine ran the solve — start vectors derive from the

@@ -2,13 +2,14 @@
 // "now that the communities are identified, we will explore the
 // hierarchies and relations among them").
 //
-// Where core/hierarchy.h sweeps the coupling constant over ONE graph
-// (c as a resolution knob), this module recurses into the communities
-// themselves: run OCA at the top level, extract each sufficiently large
-// and sufficiently sparse community's induced subgraph, re-resolve the
-// subgraph's own admissible coupling c = -1/lambda_min, run OCA inside
-// it, and repeat until communities stop splitting. The result is a tree
-// of nested communities in original node ids.
+// Lowering c over one graph barely refines its cover (c is a weak
+// resolution knob; see bench_recursive_hierarchy's flat column), so
+// this module recurses into the communities themselves: run OCA at the
+// top level, extract each sufficiently large and sufficiently sparse
+// community's induced subgraph, re-resolve the subgraph's own
+// admissible coupling c = -1/lambda_min, run OCA inside it, and repeat
+// until communities stop splitting. The result is a tree of nested
+// communities in original node ids.
 //
 // Each subgraph's c is resolved by its own RunOca, on the engine the
 // expansion runs with, from a random start vector like every other

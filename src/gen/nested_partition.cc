@@ -1,5 +1,7 @@
 #include "gen/nested_partition.h"
 
+#include <limits>
+
 #include "graph/graph_builder.h"
 #include "util/random.h"
 
@@ -21,6 +23,16 @@ Result<NestedBenchmarkGraph> GenerateNestedPartition(
         "nesting requires p_sub >= p_super >= p_out");
   }
 
+  // n = supers x subs x nodes_per_sub must not exceed NodeId's max,
+  // checked before any allocation: a wrapped product, or an n past
+  // NodeId, would make the NodeId loop u < n below endless.
+  constexpr size_t kMaxNodes = std::numeric_limits<NodeId>::max();
+  if (options.subs_per_super > kMaxNodes / options.num_supers ||
+      options.nodes_per_sub >
+          kMaxNodes / (options.num_supers * options.subs_per_super)) {
+    return Status::InvalidArgument(
+        "nested partition node count exceeds the NodeId range");
+  }
   const size_t num_subs = options.num_supers * options.subs_per_super;
   const size_t n = num_subs * options.nodes_per_sub;
   auto sub_of = [&](NodeId v) { return v / options.nodes_per_sub; };

@@ -37,9 +37,9 @@ struct NestedBenchmarkGraph {
   Cover sub_truth;    // fine scale: one community per sub-block
 };
 
-/// Generates the nested model. Errors on zero counts, probabilities
-/// outside [0, 1], or a density ordering that inverts the nesting
-/// (requires p_sub >= p_super >= p_out).
+/// Generates the nested model. Errors on zero counts, a node count past
+/// NodeId's max, probabilities outside [0, 1], or a density ordering
+/// that inverts the nesting (requires p_sub >= p_super >= p_out).
 Result<NestedBenchmarkGraph> GenerateNestedPartition(
     const NestedPartitionOptions& options);
 

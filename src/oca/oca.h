@@ -6,8 +6,9 @@
 // working across versions:
 //
 //   building graphs      Graph, GraphBuilder, OpenMmapGraph
-//   running the paper    RunOca (OcaOptions, incl. the engine hook),
-//                        BuildRecursiveHierarchy
+//   running the paper    RunOca (OcaOptions, incl. the engine hook)
+//   the hierarchy        BuildRecursiveHierarchy: the per-community
+//                        tree, the one hierarchy the store serves
 //   persisting results   WriteCommunityStore / WriteCoverFile and the
 //                        graph writers
 //   serving queries      CommunityStore (mmap snapshot reads),
@@ -25,7 +26,6 @@
 
 #include "core/community_store.h"
 #include "core/cover.h"
-#include "core/hierarchy.h"
 #include "core/oca.h"
 #include "core/recursive_hierarchy.h"
 #include "graph/graph.h"

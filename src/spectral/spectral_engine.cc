@@ -409,7 +409,8 @@ SpectralEngineSet::SpectralEngineSet(size_t count,
 Result<double> ComputeCouplingConstant(const Graph& graph,
                                        const PowerMethodOptions& options) {
   // A fresh engine per call: workspace reuse and caching belong to
-  // callers that hold an engine across calls (RunOca, BuildHierarchy).
+  // callers that hold an engine across calls (the recursive hierarchy's
+  // per-worker engines, or one passed in OcaOptions::engine).
   SpectralEngine engine(ValueSolveOptionsFrom(options));
   OCA_ASSIGN_OR_RETURN(CouplingResult result, engine.CouplingConstant(graph));
   return result.c;

@@ -2,17 +2,18 @@
 // one spectral quantity the OCA pipeline needs, the coupling constant
 // c = -1/lambda_min of the paper's Section II.
 //
-// Why an engine instead of free functions: the paper's pipeline resolves
-// c repeatedly (once per OCA run, once per hierarchy level, once per
-// subgraph a caller explores), and the seed implementation paid for a
-// fixed 1e-7 eigenpair tolerance and two full power-method phases every
-// time. The engine amortizes both:
+// Why an engine instead of free functions: c is resolved once per OCA
+// run, and the recursive hierarchy makes one run per subgraph it
+// explores, so a single build solves many graphs. A fixed-tolerance
+// eigenpair solve into fresh buffers would pay full price on each one;
+// the engine does not:
 //
 //   * Workspaces (iteration vectors, reduction partials, recurrence
 //     coefficients) are owned by the engine and reused across calls —
 //     zero per-call allocation after warm-up.
-//   * Results are cached per graph, so a hierarchy build or a repeated
-//     pipeline run pays for the spectral solve once.
+//   * Results are cached per graph, so asking again about the same graph
+//     costs no solve. No library path asks twice: the hierarchy drops
+//     each subgraph's entry (`Forget`) once its run is done.
 //   * Convergence is adaptive: the solver targets relative error in c
 //     itself (c only needs a few significant digits — see
 //     SpectralEngineOptions::coupling_tolerance) instead of iterating a

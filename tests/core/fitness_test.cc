@@ -112,6 +112,25 @@ TEST(EvaluateFitnessTest, DispatchMatchesDirectCalls) {
   EXPECT_DOUBLE_EQ(EvaluateFitness(stats, params), 7.0 / (7.0 + 6.0));
 }
 
+// phi(S) = s + 2c*Ein evaluated from the subset stats, as the library
+// computes it.
+TEST(PhiFromStatsTest, IndependentAndCompleteSets) {
+  // Paper Example 2: independent set of size k has phi = k; complete
+  // subgraph K_k has phi = k + 2c * k(k-1)/2 = ck^2 + (1-c)k.
+  FitnessParams params;
+  params.kind = FitnessKind::kRawPhi;
+  params.c = 0.6;
+  SubsetStats independent;
+  independent.size = 7;
+  EXPECT_DOUBLE_EQ(EvaluateFitness(independent, params), 7.0);
+  const size_t k = 9;
+  SubsetStats complete;
+  complete.size = k;
+  complete.ein = k * (k - 1) / 2;
+  EXPECT_DOUBLE_EQ(EvaluateFitness(complete, params),
+                   params.c * k * k + (1 - params.c) * k);
+}
+
 TEST(FitnessGainTest, AddMatchesFiniteDifference) {
   FitnessParams params;
   params.kind = FitnessKind::kDirectedLaplacian;

@@ -2,9 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include "graph/connected_components.h"
 #include "graph/degree_stats.h"
 #include "graph/graph_checks.h"
+#include "testing/connectivity.h"
 
 namespace oca {
 namespace {
@@ -23,7 +23,7 @@ TEST(BarabasiAlbertTest, NodeAndEdgeCounts) {
 TEST(BarabasiAlbertTest, AlwaysConnected) {
   Rng rng(2);
   Graph g = BarabasiAlbert(500, 2, &rng).value();
-  EXPECT_TRUE(IsConnected(g));
+  EXPECT_TRUE(testing::IsConnected(g));
 }
 
 TEST(BarabasiAlbertTest, MinimumDegreeIsM) {

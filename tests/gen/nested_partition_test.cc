@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 namespace oca {
 namespace {
@@ -96,6 +97,18 @@ TEST(NestedPartitionTest, InvalidOptionsError) {
   // Inverted nesting: glue denser than the blocks it joins.
   opt = SmallOptions();
   opt.p_super = 0.9;
+  EXPECT_TRUE(GenerateNestedPartition(opt).status().IsInvalidArgument());
+
+  // A node count whose size_t product wraps (a -1 cast to size_t).
+  opt = SmallOptions();
+  opt.num_supers = std::numeric_limits<size_t>::max();
+  EXPECT_TRUE(GenerateNestedPartition(opt).status().IsInvalidArgument());
+
+  // 2^16 x 2^8 x 2^8 = 2^32 nodes: fits size_t, one past NodeId's max.
+  opt = SmallOptions();
+  opt.num_supers = size_t{1} << 16;
+  opt.subs_per_super = size_t{1} << 8;
+  opt.nodes_per_sub = size_t{1} << 8;
   EXPECT_TRUE(GenerateNestedPartition(opt).status().IsInvalidArgument());
 }
 

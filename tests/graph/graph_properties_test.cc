@@ -6,11 +6,8 @@
 
 #include "gen/barabasi_albert.h"
 #include "gen/erdos_renyi.h"
-#include "graph/connected_components.h"
 #include "graph/k_core.h"
 #include "graph/subgraph.h"
-#include "graph/traversal.h"
-#include "graph/triangles.h"
 #include "util/random.h"
 
 namespace oca {
@@ -27,31 +24,6 @@ class GraphSweepTest : public ::testing::TestWithParam<uint64_t> {
     return BarabasiAlbert(80, 3, &rng).value();
   }
 };
-
-TEST_P(GraphSweepTest, BfsDistancesAreOneLipschitzAlongEdges) {
-  Graph g = MakeGraph();
-  if (g.num_nodes() == 0) GTEST_SKIP();
-  auto dist = BfsDistances(g, 0);
-  g.ForEachEdge([&dist](NodeId u, NodeId v) {
-    if (dist[u] == kUnreachable || dist[v] == kUnreachable) {
-      // Both endpoints must be unreachable together.
-      EXPECT_EQ(dist[u], dist[v]);
-      return;
-    }
-    uint32_t lo = std::min(dist[u], dist[v]);
-    uint32_t hi = std::max(dist[u], dist[v]);
-    EXPECT_LE(hi - lo, 1u) << "edge " << u << "-" << v;
-  });
-}
-
-TEST_P(GraphSweepTest, BfsDistanceZeroOnlyAtSource) {
-  Graph g = MakeGraph();
-  auto dist = BfsDistances(g, 0);
-  EXPECT_EQ(dist[0], 0u);
-  for (NodeId v = 1; v < g.num_nodes(); ++v) {
-    EXPECT_NE(dist[v], 0u);
-  }
-}
 
 TEST_P(GraphSweepTest, KCoreInducedSubgraphHasMinDegreeK) {
   Graph g = MakeGraph();
@@ -77,32 +49,6 @@ TEST_P(GraphSweepTest, CoreNumbersAreMaximal) {
   }
 }
 
-TEST_P(GraphSweepTest, TriangleCountMatchesBruteForce) {
-  Graph g = MakeGraph();
-  uint64_t brute = 0;
-  const size_t n = g.num_nodes();
-  for (NodeId a = 0; a < n; ++a) {
-    for (NodeId b = a + 1; b < n; ++b) {
-      if (!g.HasEdge(a, b)) continue;
-      for (NodeId c = b + 1; c < n; ++c) {
-        if (g.HasEdge(a, c) && g.HasEdge(b, c)) ++brute;
-      }
-    }
-  }
-  EXPECT_EQ(CountTriangles(g), brute);
-}
-
-TEST_P(GraphSweepTest, ComponentsPartitionAndEdgesStayInside) {
-  Graph g = MakeGraph();
-  auto comps = ConnectedComponents(g);
-  size_t total = 0;
-  for (size_t s : comps.sizes) total += s;
-  EXPECT_EQ(total, g.num_nodes());
-  g.ForEachEdge([&comps](NodeId u, NodeId v) {
-    EXPECT_EQ(comps.label[u], comps.label[v]);
-  });
-}
-
 TEST_P(GraphSweepTest, DegreeSumEqualsTwiceEdges) {
   Graph g = MakeGraph();
   size_t sum = 0;
@@ -116,16 +62,6 @@ TEST_P(GraphSweepTest, SubgraphOfEverythingIsIdentity) {
   for (NodeId v = 0; v < g.num_nodes(); ++v) all[v] = v;
   auto sub = InducedSubgraph(g, all).value();
   EXPECT_EQ(sub.graph.Edges(), g.Edges());
-}
-
-TEST_P(GraphSweepTest, BfsBallGrowsMonotonically) {
-  Graph g = MakeGraph();
-  size_t prev = 0;
-  for (uint32_t hops = 0; hops <= 4; ++hops) {
-    auto ball = BfsBall(g, 0, hops);
-    EXPECT_GE(ball.size(), prev);
-    prev = ball.size();
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GraphSweepTest,

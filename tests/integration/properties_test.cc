@@ -9,12 +9,12 @@
 #include "core/oca.h"
 #include "gen/erdos_renyi.h"
 #include "gen/lfr.h"
-#include "graph/connected_components.h"
 #include "graph/graph_checks.h"
 #include "graph/subgraph.h"
 #include "metrics/similarity.h"
 #include "metrics/theta.h"
 #include "spectral/spectral_engine.h"
+#include "testing/connectivity.h"
 #include "util/random.h"
 
 namespace oca {
@@ -77,7 +77,7 @@ TEST_P(RandomGraphPropertyTest, OcaCommunitiesAreInternallyConnected) {
   if (!run.ok()) GTEST_SKIP();
   for (const auto& community : run.value().cover) {
     auto sub = InducedSubgraph(g, community).value();
-    EXPECT_TRUE(IsConnected(sub.graph))
+    EXPECT_TRUE(testing::IsConnected(sub.graph))
         << "disconnected community of size " << community.size();
   }
 }

@@ -211,7 +211,7 @@ TEST(SpectralEngineTest, GraphBuiltWhereADeadOneLivedMissesTheCache) {
   EXPECT_EQ(again.c, star.c);
 }
 
-// A default engine runs the solve RunOca, the hierarchy builders and
+// A default engine runs the solve RunOca, the recursive hierarchy and
 // ComputeCouplingConstant run: every field of SpectralEngineOptions{}
 // equals the mapping of a default PowerMethodOptions.
 TEST(SpectralEngineTest, DefaultOptionsAreTheProductionSolve) {

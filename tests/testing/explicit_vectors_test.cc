@@ -1,28 +1,20 @@
-#include "core/vector_model.h"
+#include "testing/explicit_vectors.h"
 
 #include <gtest/gtest.h>
 
+#include "core/fitness.h"
 #include "spectral/spectral_engine.h"
 #include "testing/test_graphs.h"
 
 namespace oca {
 namespace {
 
+using testing::BuildExplicitVectors;
 using testing::Clique;
 using testing::Cycle;
 using testing::KarateClub;
 using testing::Path5;
 using testing::Triangle;
-
-TEST(PhiFromStatsTest, IndependentAndCompleteSets) {
-  // Paper Example 2: independent set of size k has phi = k; complete
-  // subgraph K_k has phi = k + 2c * k(k-1)/2 = ck^2 + (1-c)k.
-  double c = 0.6;
-  EXPECT_DOUBLE_EQ(PhiFromStats(7, 0, c), 7.0);
-  size_t k = 9;
-  EXPECT_DOUBLE_EQ(PhiFromStats(k, k * (k - 1) / 2, c),
-                   c * k * k + (1 - c) * k);
-}
 
 TEST(ExplicitVectorsTest, UnitLengthAndPairwiseProducts) {
   Graph g = Triangle();
@@ -48,7 +40,8 @@ TEST(ExplicitVectorsTest, NonEdgesAreOrthogonal) {
 
 TEST(ExplicitVectorsTest, PhiFormulaMatchesGeometry) {
   // The load-bearing identity: ||sum v_i||^2 == s + 2c*Ein for every
-  // subset. Verify on several graphs and subsets.
+  // subset, where the right side is the phi the library evaluates from
+  // the subset stats. Verify on several graphs and subsets.
   struct Case {
     Graph graph;
     std::vector<NodeId> subset;
@@ -67,8 +60,14 @@ TEST(ExplicitVectorsTest, PhiFormulaMatchesGeometry) {
     // Use a slightly smaller c to stay strictly PSD for Cholesky.
     double c = c_max * 0.95;
     auto vecs = BuildExplicitVectors(graph, c).value();
-    EXPECT_NEAR(vecs.SumSquaredLength(subset),
-                PhiFromStats(subset.size(), ein, c), 1e-8);
+    SubsetStats stats;
+    stats.size = subset.size();
+    stats.ein = ein;
+    FitnessParams params;
+    params.kind = FitnessKind::kRawPhi;
+    params.c = c;
+    EXPECT_NEAR(vecs.SumSquaredLength(subset), EvaluateFitness(stats, params),
+                1e-8);
   }
 }
 
