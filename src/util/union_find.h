@@ -1,7 +1,6 @@
 // Disjoint-set forest with union by rank and path halving.
 //
-// Used by: connected components, configuration-model repair, k-clique
-// percolation, and community merge postprocessing.
+// Used by: k-clique percolation and community merge postprocessing.
 
 #ifndef OCA_UTIL_UNION_FIND_H_
 #define OCA_UTIL_UNION_FIND_H_
